@@ -91,35 +91,65 @@ def _require_nonnegative(cfg) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _entropy(z: np.ndarray, p: np.ndarray, pq: np.ndarray, n: int):
+class _Workspace:
+    """The full-grid buffers one objective reuses on every call: P, P(1-P),
+    the summed gradient and three scratch arrays the terms take in turn.
+
+    A kernel returns its gradient in one of the scratch arrays, where it stays
+    valid only until the next kernel runs.
+    """
+
+    def __init__(self, shape):
+        self.p, self.pq, self.grad, self.a, self.b, self.c = (np.empty(shape) for _ in range(6))
+
+    def load(self, z: np.ndarray) -> "_Workspace":
+        expit(z, out=self.p)
+        np.multiply(self.p, np.subtract(1.0, self.p, out=self.pq), out=self.pq)
+        return self
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    # einsum's own loop rather than BLAS ddot: single-threaded, and its
+    # summation order does not depend on the BLAS thread count
+    return float(np.einsum("i,i->", x.ravel(), y.ravel()))
+
+
+def _accumulate(grad: np.ndarray, lam: float, g: np.ndarray) -> None:
+    # grad += lam * g, scaling the kernel's scratch array g in place
+    g *= lam
+    grad += g
+
+
+def _entropy(ws: _Workspace, n: int):
     # H = mean(-[P ln max(P,c) + (1-P) ln max(1-P,c)]); the clamp applies to
     # the log arguments only, so saturated voxels contribute ~0 value.
-    q = 1.0 - p
-    lp = np.log(np.maximum(p, PROB_CLAMP))
-    lq = np.log(np.maximum(q, PROB_CLAMP))
-    value = -(p.ravel() @ lp.ravel() + q.ravel() @ lq.ravel()) / n
+    p, q, lp, lq = ws.p, ws.a, ws.b, ws.c
+    np.subtract(1.0, p, out=q)
+    np.log(np.maximum(p, PROB_CLAMP, out=lp), out=lp)
+    np.log(np.maximum(q, PROB_CLAMP, out=lq), out=lq)
+    value = -(_dot(p, lp) + _dot(q, lq)) / n
     # dH/dP = -(lp - lq + [P > c] - [1-P > c]); the indicator difference
     # vanishes in-band and supplies the exact derivative at saturated voxels.
+    # The masks are built only when some voxel saturates (fmin skips NaN, as
+    # the comparison does).
     dh_dp = np.subtract(lq, lp, out=lq)
-    sat_lo = p <= PROB_CLAMP
-    if sat_lo.any():
-        dh_dp[sat_lo] += 1.0
-    sat_hi = q <= PROB_CLAMP
-    if sat_hi.any():
-        dh_dp[sat_hi] -= 1.0
-    dh_dp *= pq
+    if np.fmin.reduce(p, axis=None) <= PROB_CLAMP:
+        dh_dp[p <= PROB_CLAMP] += 1.0
+    if np.fmin.reduce(q, axis=None) <= PROB_CLAMP:
+        dh_dp[q <= PROB_CLAMP] -= 1.0
+    dh_dp *= ws.pq
     dh_dp /= n
     return value, dh_dp
 
 
-def _charbonnier_faces(p: np.ndarray, face_w: Sequence[np.ndarray] | None, n: int):
+def _charbonnier_faces(ws: _Workspace, face_w: Sequence[np.ndarray] | None, n: int):
     # sum over axes of w * (sqrt(d^2 + eps^2) - eps) with d the forward
     # difference (replicate boundary: final slab is zero), averaged over N;
-    # zero-difference entries contribute exactly zero.
+    # zero-difference entries contribute exactly zero.  The gradient with
+    # respect to P is returned in ws.a.
+    p, grad, d, root = ws.p, ws.a, ws.b, ws.c
     value = 0.0
-    grad = np.zeros_like(p)
-    d = np.empty_like(p)
-    root = np.empty_like(p)
+    grad.fill(0.0)
     for axis in range(3):
         src = [slice(None)] * 3
         dst = [slice(None)] * 3
@@ -139,12 +169,13 @@ def _charbonnier_faces(p: np.ndarray, face_w: Sequence[np.ndarray] | None, n: in
         else:
             # (w * root).sum() keeps the same pairwise reduction as the
             # unweighted path, so g == 1 reproduces tv bit-for-bit
-            value += (face_w[axis] * root).sum()
+            value += np.multiply(face_w[axis], root, out=root).sum()
         if face_w is not None:
             d *= face_w[axis]
         grad -= d
         grad[tuple(src)] += d[tuple(dst)]
-    return value / n, grad / n
+    grad /= n
+    return value / n, grad
 
 
 def _face_weights(g: np.ndarray) -> list[np.ndarray]:
@@ -162,14 +193,16 @@ def _face_weights(g: np.ndarray) -> list[np.ndarray]:
     return weights
 
 
-def _tv(p: np.ndarray, pq: np.ndarray, n: int):
-    value, grad_p = _charbonnier_faces(p, None, n)
-    return value, grad_p * pq
+def _tv(ws: _Workspace, n: int):
+    value, grad = _charbonnier_faces(ws, None, n)
+    grad *= ws.pq
+    return value, grad
 
 
-def _geodesic(p: np.ndarray, pq: np.ndarray, g: np.ndarray, n: int):
-    value, grad_p = _charbonnier_faces(p, _face_weights(g), n)
-    return value, grad_p * pq
+def _geodesic(ws: _Workspace, g: np.ndarray, n: int):
+    value, grad = _charbonnier_faces(ws, _face_weights(g), n)
+    grad *= ws.pq
+    return value, grad
 
 
 @lru_cache(maxsize=32)
@@ -184,13 +217,14 @@ def _axis_coords(dims: tuple[int, int, int], spacing: Spacing):
     return tuple(xs)
 
 
-def _gravity(p: np.ndarray, pq: np.ndarray, spacing: Spacing):
+def _gravity(ws: _Workspace, spacing: Spacing):
     # V = sum_v w_v ||x_v - c||^2 with w = P / (sum P + eps) and c = sum w x;
     # the gradient is differentiated through both w and c:
     #   dV/dP_k = (||x_k - c||^2 - V - 2 (1 - sum w) c.(x_k - c)) / (sum P + eps)
     # where (1 - sum w) = eps / (sum P + eps).  Both the value and the grad
     # basis separate over axes, so everything heavy is assembled from 1D
     # per-axis pieces broadcast together once.
+    p = ws.p
     coords = _axis_coords(p.shape, spacing)
     marg = (p.sum(axis=(1, 2)), p.sum(axis=(0, 2)), p.sum(axis=(0, 1)))
     mass = float(marg[0].sum())
@@ -206,43 +240,41 @@ def _gravity(p: np.ndarray, pq: np.ndarray, spacing: Spacing):
     # per-axis basis: delta^2 - 2 (eps/total) ctr delta, still 1D
     shrink = 2.0 * (1.0 - mass / total)
     basis = [d * d - shrink * ctr * d for d, ctr in deltas]
-    grad_p = basis[0] + basis[1] + basis[2]  # broadcast to full shape
+    grad_p = np.add(basis[0] + basis[1], basis[2], out=ws.a)  # broadcast to full shape
     grad_p -= value
-    grad_p *= pq
+    grad_p *= ws.pq
     grad_p /= total
     return value, grad_p
 
 
-def _inflation(p: np.ndarray, pq: np.ndarray, n: int):
-    return -float(p.sum()) / n, -pq / n
+def _inflation(ws: _Workspace, n: int):
+    grad = np.negative(ws.pq, out=ws.a)
+    grad /= n
+    return -float(ws.p.sum()) / n, grad
 
 
-def _anchor(z: np.ndarray, z0: np.ndarray, n: int):
-    d = z - z0
-    return float((d * d).sum()) / n, 2.0 * d / n
+def _anchor(ws: _Workspace, z: np.ndarray, z0: np.ndarray, n: int):
+    d = np.subtract(z, z0, out=ws.a)
+    value = float(np.multiply(d, d, out=ws.b).sum()) / n
+    d *= 2.0
+    d /= n
+    return value, d
 
 
 # ---------------------------------------------------------------------------
-# public single-term operations
+# public single-term operations (each on a fresh workspace)
 # ---------------------------------------------------------------------------
-
-
-def _prob(z: Volume):
-    p = expit(z.data)
-    return p, p * (1.0 - p)
 
 
 def entropy_term(z: Volume) -> LossTermResult:
     """Mean binary entropy of P = sigmoid(z); zero gradient at P = 1/2."""
-    p, pq = _prob(z)
-    value, grad = _entropy(z.data, p, pq, z.nvox)
+    value, grad = _entropy(_Workspace(z.dims).load(z.data), z.nvox)
     return LossTermResult(value, z.with_data(grad))
 
 
 def tv_term(z: Volume) -> LossTermResult:
     """Smoothed total variation of P (Charbonnier |.|, eps = 1e-6), mean over voxels."""
-    p, pq = _prob(z)
-    value, grad = _tv(p, pq, z.nvox)
+    value, grad = _tv(_Workspace(z.dims).load(z.data), z.nvox)
     return LossTermResult(value, z.with_data(grad))
 
 
@@ -252,22 +284,20 @@ def gravity_term(z: Volume) -> LossTermResult:
     Minimizing it pulls stray foreground mass toward the centroid; coordinates
     are physical, so anisotropic spacing is respected.
     """
-    p, pq = _prob(z)
-    value, grad = _gravity(p, pq, z.spacing)
+    value, grad = _gravity(_Workspace(z.dims).load(z.data), z.spacing)
     return LossTermResult(value, z.with_data(grad))
 
 
 def inflation_term(z: Volume) -> LossTermResult:
     """Negative mean foreground probability; descending it grows the region."""
-    p, pq = _prob(z)
-    value, grad = _inflation(p, pq, z.nvox)
+    value, grad = _inflation(_Workspace(z.dims).load(z.data), z.nvox)
     return LossTermResult(value, z.with_data(grad))
 
 
 def anchor_term(z: Volume, z0: Volume) -> LossTermResult:
     """Mean squared logit deviation from the baseline, bounding refinement drift."""
     require_same_grid(z, z0, "logits and anchor logits")
-    value, grad = _anchor(z.data, z0.data, z.nvox)
+    value, grad = _anchor(_Workspace(z.dims), z.data, z0.data, z.nvox)
     return LossTermResult(value, z.with_data(grad))
 
 
@@ -278,8 +308,7 @@ def geodesic_term(z: Volume, g: Volume) -> LossTermResult:
     With g identically 1 this reduces to :func:`tv_term` bit-for-bit.
     """
     require_same_grid(z, g, "logits and edge map")
-    p, pq = _prob(z)
-    value, grad = _geodesic(p, pq, g.data, z.nvox)
+    value, grad = _geodesic(_Workspace(z.dims).load(z.data), g.data, z.nvox)
     return LossTermResult(value, z.with_data(grad))
 
 
@@ -354,55 +383,69 @@ def diffuse_loss(z: Volume, z0: Volume, g: Volume,
 
 
 def compact_objective(z0: np.ndarray, spacing: Spacing, weights: CompactWeights) -> Objective:
-    """Array-level evaluator used by the optimizer loop: z -> (value, grad)."""
+    """Array-level evaluator used by the optimizer loop: z -> (value, grad).
+
+    The evaluator allocates its full-grid buffers once and reuses them: the
+    returned grad is overwritten by the next call, and one evaluator must not
+    be called from two threads at once.
+    """
     n = z0.size
+    ws = _Workspace(z0.shape)
 
     def evaluate(z: np.ndarray):
-        p = expit(z)
-        pq = p * (1.0 - p)
+        ws.load(z)
         value = 0.0
-        grad = np.zeros_like(z)
+        grad = ws.grad
+        grad.fill(0.0)
         for lam, term in (
-            (weights.lambda_ent, lambda: _entropy(z, p, pq, n)),
-            (weights.lambda_tv, lambda: _tv(p, pq, n)),
-            (weights.lambda_grav, lambda: _gravity(p, pq, spacing)),
-            (weights.lambda_anc, lambda: _anchor(z, z0, n)),
+            (weights.lambda_ent, lambda: _entropy(ws, n)),
+            (weights.lambda_tv, lambda: _tv(ws, n)),
+            (weights.lambda_grav, lambda: _gravity(ws, spacing)),
+            (weights.lambda_anc, lambda: _anchor(ws, z, z0, n)),
         ):
             if lam != 0.0:
                 v, g = term()
                 value += lam * v
-                grad += lam * g
+                _accumulate(grad, lam, g)
         return value, grad
 
     return evaluate
 
 
 def diffuse_objective(z0: np.ndarray, g_map: np.ndarray, weights: DiffuseWeights) -> Objective:
-    """Array-level evaluator used by the optimizer loop: z -> (value, grad)."""
+    """Array-level evaluator used by the optimizer loop: z -> (value, grad).
+
+    Buffers are reused across calls as in :func:`compact_objective`.
+    """
     n = z0.size
     faces = _face_weights(g_map) if weights.lambda_geo != 0.0 else None
+    ws = _Workspace(z0.shape)
 
     def evaluate(z: np.ndarray):
-        p = expit(z)
-        pq = p * (1.0 - p)
+        ws.load(z)
         value = 0.0
-        grad = np.zeros_like(z)
+        grad = ws.grad
+        grad.fill(0.0)
         if weights.lambda_ent != 0.0:
-            v, gr = _entropy(z, p, pq, n)
+            v, gr = _entropy(ws, n)
             value += weights.lambda_ent * v
-            grad += weights.lambda_ent * gr
+            _accumulate(grad, weights.lambda_ent, gr)
         if weights.lambda_geo != 0.0:
-            v, grad_p = _charbonnier_faces(p, faces, n)
+            v, grad_p = _charbonnier_faces(ws, faces, n)
             value += weights.lambda_geo * v
-            grad += weights.lambda_geo * grad_p * pq
+            # (lambda_geo * grad_p) * pq: here the weight comes before the
+            # chain factor, in tv after it; the order shows in the last bit
+            grad_p *= weights.lambda_geo
+            grad_p *= ws.pq
+            grad += grad_p
         if weights.lambda_inf != 0.0:
-            v, gr = _inflation(p, pq, n)
+            v, gr = _inflation(ws, n)
             value += weights.lambda_inf * v
-            grad += weights.lambda_inf * gr
+            _accumulate(grad, weights.lambda_inf, gr)
         if weights.lambda_anc != 0.0:
-            v, gr = _anchor(z, z0, n)
+            v, gr = _anchor(ws, z, z0, n)
             value += weights.lambda_anc * v
-            grad += weights.lambda_anc * gr
+            _accumulate(grad, weights.lambda_anc, gr)
         return value, grad
 
     return evaluate

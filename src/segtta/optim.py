@@ -1,7 +1,13 @@
 """Adam gradient descent over the logit volume, with loss-curve capture.
 
 The protocol is deliberately rigid: fixed step count, no schedules, no early
-stopping.  Two refinements with identical inputs produce bit-identical traces.
+stopping.  Two refinements with identical inputs produce bit-identical traces,
+whatever the BLAS thread count: no step reduces through BLAS at full-grid
+size.
+
+The loop allocates no full-grid array per step.  The objective returns a
+gradient buffer that it overwrites on its next call, and :func:`adam_step`
+updates the moments and the logits in place.
 """
 
 from __future__ import annotations
@@ -32,16 +38,20 @@ class OptimizerProtocol:
 
 @dataclass
 class AdamState:
-    """First/second moment estimates plus the step counter."""
+    """First/second moment estimates, the step counter, and two scratch
+    arrays of the same shape that :func:`adam_step` works in."""
 
     m: np.ndarray
     v: np.ndarray
     t: int
     protocol: OptimizerProtocol
+    num: np.ndarray
+    den: np.ndarray
 
     @classmethod
     def fresh(cls, shape, protocol: OptimizerProtocol) -> "AdamState":
-        return cls(m=np.zeros(shape), v=np.zeros(shape), t=0, protocol=protocol)
+        return cls(m=np.zeros(shape), v=np.zeros(shape), t=0, protocol=protocol,
+                   num=np.empty(shape), den=np.empty(shape))
 
 
 @dataclass(frozen=True)
@@ -67,17 +77,31 @@ class RefinementTrace:
 
 
 def adam_step(state: AdamState, z: np.ndarray, grad: np.ndarray) -> tuple[AdamState, np.ndarray]:
-    """One bias-corrected Adam update: z' = z - lr * m_hat / (sqrt(v_hat) + eps)."""
-    if not np.isfinite(grad).all():
+    """One bias-corrected Adam update: z' = z - lr * m_hat / (sqrt(v_hat) + eps).
+
+    The update is in place: ``state`` (moments, counter, scratch) and ``z`` are
+    overwritten and returned.  Every product and sum keeps the operand order
+    of the formula, so the result is bit-identical to the out-of-place update.
+    A non-finite gradient raises before anything is written.
+    """
+    # a sum is finite only if every entry is; the exact test runs only when it
+    # is not, so that an overflowing sum of finite entries still passes
+    if not np.isfinite(grad.sum()) and not np.isfinite(grad).all():
         raise NumericalFailure(f"non-finite gradient at step {state.t + 1}")
     pr = state.protocol
-    t = state.t + 1
-    m = pr.beta1 * state.m + (1.0 - pr.beta1) * grad
-    v = pr.beta2 * state.v + (1.0 - pr.beta2) * grad * grad
-    m_hat = m / (1.0 - pr.beta1**t)
-    v_hat = v / (1.0 - pr.beta2**t)
-    z_new = z - pr.lr * m_hat / (np.sqrt(v_hat) + pr.eps_adam)
-    return AdamState(m=m, v=v, t=t, protocol=pr), z_new
+    state.t += 1
+    m, v, num, den = state.m, state.v, state.num, state.den
+    np.multiply(pr.beta1, m, out=m)
+    m += np.multiply(1.0 - pr.beta1, grad, out=num)
+    np.multiply(pr.beta2, v, out=v)
+    np.multiply(1.0 - pr.beta2, grad, out=num)
+    v += np.multiply(num, grad, out=num)
+    m_hat = np.divide(m, 1.0 - pr.beta1**state.t, out=num)
+    v_hat = np.divide(v, 1.0 - pr.beta2**state.t, out=den)
+    step = np.multiply(pr.lr, m_hat, out=num)
+    step /= np.add(np.sqrt(v_hat, out=den), pr.eps_adam, out=den)
+    z -= step
+    return state, z
 
 
 def refine(

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import segtta
 from segtta import fileio, phantom
 from segtta.cli import main
 from segtta.volume import Mask
@@ -51,6 +56,27 @@ class TestRunCommand:
                 "--steps", "40", "--no-timing",
             ])
             assert code == 0
+            outs.append((mask_out.read_bytes(), report_out.read_bytes()))
+        assert outs[0] == outs[1]
+
+    def test_report_does_not_depend_on_blas_threads(self, tmp_path):
+        # OpenBLAS reads its thread count once at start-up, so each setting
+        # needs its own process; a reduction split across threads sums in
+        # another order and would change the report's loss digits
+        paths = write_phantom_files(tmp_path, scenario="fragmented_small", seed=4)
+        src_dir = str(Path(segtta.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+        outs = []
+        for threads in ("1", "2"):
+            mask_out = tmp_path / f"mask_{threads}.vol"
+            report_out = tmp_path / f"report_{threads}.json"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+            subprocess.run([
+                sys.executable, "-m", "segtta.cli",
+                "run", "--image", paths["image"][0], "--logits", paths["logits"],
+                "--out-mask", str(mask_out), "--report", str(report_out),
+                "--steps", "40", "--no-timing",
+            ], env=env, check=True, capture_output=True, timeout=300)
             outs.append((mask_out.read_bytes(), report_out.read_bytes()))
         assert outs[0] == outs[1]
 

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -234,6 +236,61 @@ class TestComposites:
             losses.CompactWeights(lambda_ent=-1.0)
         with pytest.raises(ValueError, match=">= 0"):
             losses.DiffuseWeights(lambda_geo=-0.5)
+
+
+class TestObjectiveBuffers:
+    """The objectives reuse their buffers from call to call; the results
+    callers keep must not change under them."""
+
+    def test_loss_result_survives_a_later_call(self):
+        z0 = rand_vol(51)
+        g = rand_gmap(52)
+        for loss in (lambda z: losses.compact_loss(z, z0),
+                     lambda z: losses.diffuse_loss(z, z0, g)):
+            first = loss(rand_vol(53))
+            kept = first.grad_z.data.tobytes()
+            loss(rand_vol(54))
+            assert first.grad_z.data.tobytes() == kept
+
+    def test_interleaved_threads_match_separate_runs(self):
+        # each objective owns its workspace, so objectives stepping on
+        # several threads at once (more than there are cores) see no
+        # interference: every (value, grad) equals the one computed alone
+        dims, steps = (12, 10, 9), 15
+        z0s = [rand_vol(60 + k, dims=dims).data for k in range(4)]
+        g = rand_gmap(65, dims=dims).data
+        zs = [rand_vol(70 + i, dims=dims, scale=3.0).data for i in range(steps)]
+
+        def build(k):
+            if k % 2 == 0:
+                return losses.compact_objective(z0s[k], SPACING, losses.CompactWeights())
+            return losses.diffuse_objective(z0s[k], g, losses.DiffuseWeights())
+
+        def run(objective):
+            out = []
+            for z in zs:
+                value, grad = objective(z)
+                out.append((value, grad.tobytes()))
+            return out
+
+        alone = [run(build(k)) for k in range(4)]
+        threaded = [None] * 4
+
+        def worker(k, objective):
+            threaded[k] = run(objective)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k, build(k))) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert threaded == alone
 
 
 class TestAxisPermutation:

@@ -6,6 +6,16 @@ from segtta.optim import AdamState, NumericalFailure, OptimizerProtocol, adam_st
 from segtta.volume import Case, Volume, sigmoid, threshold
 
 
+def textbook_adam(m, v, t, z, grad, pr):
+    """Out-of-place Adam, the reference the in-place update must match bit for bit."""
+    t += 1
+    m = pr.beta1 * m + (1.0 - pr.beta1) * grad
+    v = pr.beta2 * v + (1.0 - pr.beta2) * grad * grad
+    m_hat = m / (1.0 - pr.beta1**t)
+    v_hat = v / (1.0 - pr.beta2**t)
+    return m, v, t, z - pr.lr * m_hat / (np.sqrt(v_hat) + pr.eps_adam)
+
+
 def small_case(seed=0, dims=(6, 6, 6)):
     rng = np.random.default_rng(seed)
     spacing = (0.5, 0.5, 0.5)
@@ -48,6 +58,21 @@ class TestAdamStep:
         grad[0, 0, 0] = np.nan
         with pytest.raises(NumericalFailure, match="step 1"):
             adam_step(state, z, grad)
+
+    def test_in_place_update_is_bit_equal_to_textbook_reference(self):
+        rng = np.random.default_rng(8)
+        pr = OptimizerProtocol()
+        z = rng.normal(size=(5, 4, 3))
+        m, v, t, z_ref = np.zeros_like(z), np.zeros_like(z), 0, z.copy()
+        state = AdamState.fresh(z.shape, pr)
+        for _ in range(10):
+            grad = rng.normal(size=z.shape) * 10.0 ** rng.uniform(-6, 2, size=z.shape)
+            m, v, t, z_ref = textbook_adam(m, v, t, z_ref, grad, pr)
+            state, z = adam_step(state, z, grad)
+            assert state.t == t
+            assert state.m.tobytes() == m.tobytes()
+            assert state.v.tobytes() == v.tobytes()
+            assert z.tobytes() == z_ref.tobytes()
 
     def test_second_moment_nonnegative(self):
         rng = np.random.default_rng(5)
