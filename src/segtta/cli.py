@@ -168,11 +168,11 @@ def _cmd_ablate(args) -> int:
     cases = [g.case for g in generated]
     gts = [g.gt for g in generated]
     protocol = optim.OptimizerProtocol(lr=args.lr, steps=args.steps)
-    table = {}
+    per_mode, table = {}, {}
     for mode in pipeline.MODES:
         cfg = pipeline.PipelineConfig(mode=mode, protocol=protocol)
         reports = pipeline.run_cohort(cases, cfg, workers=args.threads)
-        sets = [metrics.evaluate(r.final_mask, g) for r, g in zip(reports, gts)]
+        sets = per_mode[mode] = [metrics.evaluate(r.final_mask, g) for r, g in zip(reports, gts)]
         table[mode] = metrics.aggregate(sets)
         if args.csv and mode == "full":
             rows = [
@@ -196,12 +196,31 @@ def _cmd_ablate(args) -> int:
             f"{st.hd95_mean:9.4f} ± {st.hd95_std:6.4f} "
             f"{st.precision_mean:9.4f} ± {st.precision_std:6.4f}"
         )
+    _print_full_vs_ablations(per_mode)
     if args.json:
         payload = {
             mode: json.loads(metrics.summary_json(st)) for mode, st in table.items()
         }
         Path(args.json).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
+
+
+def _print_full_vs_ablations(per_mode) -> None:
+    # metric name -> (MetricSet field, alternative for full minus ablation)
+    tests = {"dice": ("dice", "greater"), "hd95": ("hd95_mm", "less"), "precision": ("precision", "greater")}
+    print("\nfull vs ablations (one-sided paired Wilcoxon, Holm-adjusted):")
+    for mode in pipeline.MODES[1:]:
+        diffs = {
+            name: [getattr(f, field) - getattr(a, field) for f, a in zip(per_mode["full"], per_mode[mode])]
+            for name, (field, _) in tests.items()
+        }
+        try:
+            results = metrics.wilcoxon_holm(diffs, {name: alt for name, (_, alt) in tests.items()})
+        except ValueError as exc:  # too few nonzero differences for the test
+            print(f"  vs {mode:<14} skipped ({exc})")
+            continue
+        print(f"  vs {mode:<14} " + "  ".join(
+            f"{m}: p={r.p_adjusted:.3g}{'*' if r.p_adjusted < 0.05 else ''}" for m, r in results.items()))
 
 
 def _cmd_gradcheck(args) -> int:

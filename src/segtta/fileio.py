@@ -21,12 +21,14 @@ import dataclasses
 import json
 import zlib
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .pipeline import PipelineConfig, RunReport
 from .volume import Mask, Volume
+
+if TYPE_CHECKING:
+    from .pipeline import PipelineConfig, RunReport
 
 MAGIC = b"HDTV"
 VERSION = 1

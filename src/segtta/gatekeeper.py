@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import Volume
+from .volume import Volume, require
 
 
 @dataclass(frozen=True)
@@ -21,6 +21,12 @@ class GateThresholds:
     unc_lo: float = 0.3       # indeterminate band is (unc_lo, unc_hi), both strict
     unc_hi: float = 0.7
     unc_max: float = 0.05     # flagged when the band fraction exceeds this (strict >)
+
+    def __post_init__(self):
+        require(self.vol_min >= 0, f"vol_min must be >= 0, got {self.vol_min!r}")
+        require(0.0 <= self.unc_lo < self.unc_hi <= 1.0,
+                f"need 0 <= unc_lo < unc_hi <= 1, got unc_lo={self.unc_lo!r}, unc_hi={self.unc_hi!r}")
+        require(0.0 <= self.unc_max <= 1.0, f"unc_max must lie in [0, 1], got {self.unc_max!r}")
 
 
 @dataclass(frozen=True)

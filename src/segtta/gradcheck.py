@@ -17,7 +17,7 @@ from scipy.special import expit
 
 from . import losses
 from .phantom import standard_normals
-from .volume import Volume
+from .volume import Volume, along
 
 FD_STEP = 1e-5
 KINK_CUTOFF = 1e-4
@@ -61,13 +61,10 @@ def tv_kink_exclusion(p: np.ndarray, cutoff: float = KINK_CUTOFF) -> np.ndarray:
     """Voxels touching any forward difference with |dP| < cutoff."""
     excluded = np.zeros(p.shape, dtype=bool)
     for axis in range(3):
-        src = [slice(None)] * 3
-        dst = [slice(None)] * 3
-        src[axis] = slice(1, None)
-        dst[axis] = slice(None, -1)
-        small = np.abs(p[tuple(src)] - p[tuple(dst)]) < cutoff
-        excluded[tuple(dst)] |= small
-        excluded[tuple(src)] |= small
+        src, dst = along(axis, slice(1, None)), along(axis, slice(None, -1))
+        small = np.abs(p[src] - p[dst]) < cutoff
+        excluded[dst] |= small
+        excluded[src] |= small
     return excluded
 
 
@@ -90,31 +87,23 @@ def check_term(term: str, seed: int, dims=(4, 4, 4)) -> GradCheckResult:
     g = _unit_interval_volume(seed, 2, dims)
     p = expit(z.data)
 
+    evaluators = {
+        "entropy": losses.entropy_term,
+        "tv": losses.tv_term,
+        "gravity": losses.gravity_term,
+        "geodesic": lambda vol: losses.geodesic_term(vol, g),
+        "inflation": losses.inflation_term,
+        "anchor": lambda vol: losses.anchor_term(vol, z0),
+        "compact": lambda vol: losses.compact_loss(vol, z0),
+        "diffuse": lambda vol: losses.diffuse_loss(vol, z0, g),
+    }
+    if term not in evaluators:
+        raise ValueError(f"unknown term {term!r}")
+    evaluate = evaluators[term]
     uses_kinks = term in ("tv", "geodesic", "compact", "diffuse")
 
-    def value_and_grad(vol: Volume):
-        if term == "entropy":
-            r = losses.entropy_term(vol)
-        elif term == "tv":
-            r = losses.tv_term(vol)
-        elif term == "gravity":
-            r = losses.gravity_term(vol)
-        elif term == "geodesic":
-            r = losses.geodesic_term(vol, g)
-        elif term == "inflation":
-            r = losses.inflation_term(vol)
-        elif term == "anchor":
-            r = losses.anchor_term(vol, z0)
-        elif term == "compact":
-            r = losses.compact_loss(vol, z0)
-        elif term == "diffuse":
-            r = losses.diffuse_loss(vol, z0, g)
-        else:
-            raise ValueError(f"unknown term {term!r}")
-        return r.value, r.grad_z.data
-
-    analytic = value_and_grad(z)[1]
-    numeric = finite_diff_grad(lambda arr: value_and_grad(z.with_data(arr))[0], z.data)
+    analytic = evaluate(z).grad_z.data
+    numeric = finite_diff_grad(lambda arr: evaluate(z.with_data(arr)).value, z.data)
     err = relative_errors(analytic, numeric)
     keep = ~tv_kink_exclusion(p) if uses_kinks else np.ones(p.shape, dtype=bool)
     checked = int(keep.sum())

@@ -8,19 +8,29 @@ coefficients behave consistently across volume sizes; the gravity term is
 normalized intrinsically by its probability weights.  The full derivations
 live in docs/gradients.md and are validated by the finite-difference checker
 in :mod:`segtta.gradcheck`.
+
+Each hypothesis is a table of ``(weight, kernel)`` pairs over one family of
+terms, and :func:`objective` is the only builder of a weighted sum: it drops
+zero-weight terms once, then on every call loads P and P(1-P) into a shared
+workspace and lets each kernel, in table order, add its own weighted gradient
+into the workspace's sum.  The kernel applies the weight, so each keeps its
+own operand order: most scale their finished gradient, ``lam * (grad_p * pq)``
+for tv, while geodesic scales before the chain factor, ``(lam * grad_p) * pq``.
+A public ``*_term`` function is the single-term table with weight 1.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 from scipy.special import expit
 
-from .volume import Spacing, Volume, require_same_grid
+from .volume import Spacing, Volume, along, axis_coords, require, require_same_grid
 
 # Charbonnier smoothing of |.| in the TV/geodesic terms, probability clamp in
 # the entropy term, and the mass guard in the gravity weights.
@@ -79,6 +89,11 @@ class EdgeMapConfig:
     sigma_mm: float = 1.0
     alpha: float = 10.0
 
+    def __post_init__(self):
+        for name in ("sigma_mm", "alpha"):
+            value = getattr(self, name)
+            require(0.0 <= value < math.inf, f"{name} must be finite and >= 0, got {value!r}")
+
 
 def _require_nonnegative(cfg) -> None:
     for field, value in vars(cfg).items():
@@ -87,25 +102,30 @@ def _require_nonnegative(cfg) -> None:
 
 
 # ---------------------------------------------------------------------------
-# raw array kernels (shared by the public ops and the optimizer hot loop)
+# term kernels and the objective builder
 # ---------------------------------------------------------------------------
 
 
 class _Workspace:
     """The full-grid buffers one objective reuses on every call: P, P(1-P),
-    the summed gradient and three scratch arrays the terms take in turn.
+    the summed gradient and three scratch arrays the kernels take in turn,
+    plus the current logits ``z``, the anchor logits ``z0`` and the voxel
+    count ``n``."""
 
-    A kernel returns its gradient in one of the scratch arrays, where it stays
-    valid only until the next kernel runs.
-    """
+    def __init__(self, z0: np.ndarray):
+        self.z0, self.n = z0, z0.size
+        self.p, self.pq, self.grad, self.a, self.b, self.c = (np.empty(z0.shape) for _ in range(6))
 
-    def __init__(self, shape):
-        self.p, self.pq, self.grad, self.a, self.b, self.c = (np.empty(shape) for _ in range(6))
-
-    def load(self, z: np.ndarray) -> "_Workspace":
+    def load(self, z: np.ndarray) -> None:
+        self.z = z
         expit(z, out=self.p)
         np.multiply(self.p, np.subtract(1.0, self.p, out=self.pq), out=self.pq)
-        return self
+        self.grad.fill(0.0)
+
+
+# A kernel adds lam times its gradient into ws.grad and returns its
+# unweighted value.
+Kernel = Callable[[_Workspace, float], float]
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
@@ -114,20 +134,20 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.einsum("i,i->", x.ravel(), y.ravel()))
 
 
-def _accumulate(grad: np.ndarray, lam: float, g: np.ndarray) -> None:
+def _add(ws: _Workspace, lam: float, g: np.ndarray) -> None:
     # grad += lam * g, scaling the kernel's scratch array g in place
     g *= lam
-    grad += g
+    ws.grad += g
 
 
-def _entropy(ws: _Workspace, n: int):
+def _entropy(ws: _Workspace, lam: float) -> float:
     # H = mean(-[P ln max(P,c) + (1-P) ln max(1-P,c)]); the clamp applies to
     # the log arguments only, so saturated voxels contribute ~0 value.
     p, q, lp, lq = ws.p, ws.a, ws.b, ws.c
     np.subtract(1.0, p, out=q)
     np.log(np.maximum(p, PROB_CLAMP, out=lp), out=lp)
     np.log(np.maximum(q, PROB_CLAMP, out=lq), out=lq)
-    value = -(_dot(p, lp) + _dot(q, lq)) / n
+    value = -(_dot(p, lp) + _dot(q, lq)) / ws.n
     # dH/dP = -(lp - lq + [P > c] - [1-P > c]); the indicator difference
     # vanishes in-band and supplies the exact derivative at saturated voxels.
     # The masks are built only when some voxel saturates (fmin skips NaN, as
@@ -138,27 +158,23 @@ def _entropy(ws: _Workspace, n: int):
     if np.fmin.reduce(q, axis=None) <= PROB_CLAMP:
         dh_dp[q <= PROB_CLAMP] -= 1.0
     dh_dp *= ws.pq
-    dh_dp /= n
-    return value, dh_dp
+    dh_dp /= ws.n
+    _add(ws, lam, dh_dp)
+    return value
 
 
-def _charbonnier_faces(ws: _Workspace, face_w: Sequence[np.ndarray] | None, n: int):
+def _charbonnier_faces(ws: _Workspace, face_w: Sequence[np.ndarray] | None) -> float:
     # sum over axes of w * (sqrt(d^2 + eps^2) - eps) with d the forward
     # difference (replicate boundary: final slab is zero), averaged over N;
     # zero-difference entries contribute exactly zero.  The gradient with
-    # respect to P is returned in ws.a.
+    # respect to P is left in ws.a.
     p, grad, d, root = ws.p, ws.a, ws.b, ws.c
     value = 0.0
     grad.fill(0.0)
     for axis in range(3):
-        src = [slice(None)] * 3
-        dst = [slice(None)] * 3
-        last = [slice(None)] * 3
-        src[axis] = slice(1, None)
-        dst[axis] = slice(None, -1)
-        last[axis] = slice(-1, None)
-        np.subtract(p[tuple(src)], p[tuple(dst)], out=d[tuple(dst)])
-        d[tuple(last)] = 0.0
+        src, dst = along(axis, slice(1, None)), along(axis, slice(None, -1))
+        np.subtract(p[src], p[dst], out=d[dst])
+        d[along(axis, slice(-1, None))] = 0.0
         np.multiply(d, d, out=root)
         root += TV_EPS * TV_EPS
         np.sqrt(root, out=root)
@@ -170,12 +186,11 @@ def _charbonnier_faces(ws: _Workspace, face_w: Sequence[np.ndarray] | None, n: i
             # (w * root).sum() keeps the same pairwise reduction as the
             # unweighted path, so g == 1 reproduces tv bit-for-bit
             value += np.multiply(face_w[axis], root, out=root).sum()
-        if face_w is not None:
             d *= face_w[axis]
         grad -= d
-        grad[tuple(src)] += d[tuple(dst)]
-    grad /= n
-    return value / n, grad
+        grad[src] += d[dst]
+    grad /= ws.n
+    return value / ws.n
 
 
 def _face_weights(g: np.ndarray) -> list[np.ndarray]:
@@ -183,41 +198,31 @@ def _face_weights(g: np.ndarray) -> list[np.ndarray]:
     # the final slab pairs with itself (its difference is zero anyway).
     weights = []
     for axis in range(3):
+        src, dst = along(axis, slice(1, None)), along(axis, slice(None, -1))
         w = g.copy()
-        src = [slice(None)] * 3
-        dst = [slice(None)] * 3
-        src[axis] = slice(1, None)
-        dst[axis] = slice(None, -1)
-        w[tuple(dst)] = 0.5 * (g[tuple(src)] + g[tuple(dst)])
+        w[dst] = 0.5 * (g[src] + g[dst])
         weights.append(w)
     return weights
 
 
-def _tv(ws: _Workspace, n: int):
-    value, grad = _charbonnier_faces(ws, None, n)
-    grad *= ws.pq
-    return value, grad
+def _tv(ws: _Workspace, lam: float) -> float:
+    value = _charbonnier_faces(ws, None)
+    ws.a *= ws.pq
+    _add(ws, lam, ws.a)  # lam * (grad_p * pq)
+    return value
 
 
-def _geodesic(ws: _Workspace, g: np.ndarray, n: int):
-    value, grad = _charbonnier_faces(ws, _face_weights(g), n)
-    grad *= ws.pq
-    return value, grad
+def _geodesic(ws: _Workspace, lam: float, faces: Sequence[np.ndarray]) -> float:
+    value = _charbonnier_faces(ws, faces)
+    # (lam * grad_p) * pq: here the weight comes before the chain factor, in
+    # tv after it; the order shows in the last bit
+    ws.a *= lam
+    ws.a *= ws.pq
+    ws.grad += ws.a
+    return value
 
 
-@lru_cache(maxsize=32)
-def _axis_coords(dims: tuple[int, int, int], spacing: Spacing):
-    xs = []
-    for axis, (n, s) in enumerate(zip(dims, spacing)):
-        shape = [1, 1, 1]
-        shape[axis] = n
-        c = (np.arange(n, dtype=np.float64) * s).reshape(shape)
-        c.flags.writeable = False
-        xs.append(c)
-    return tuple(xs)
-
-
-def _gravity(ws: _Workspace, spacing: Spacing):
+def _gravity(ws: _Workspace, lam: float, spacing: Spacing) -> float:
     # V = sum_v w_v ||x_v - c||^2 with w = P / (sum P + eps) and c = sum w x;
     # the gradient is differentiated through both w and c:
     #   dV/dP_k = (||x_k - c||^2 - V - 2 (1 - sum w) c.(x_k - c)) / (sum P + eps)
@@ -225,7 +230,7 @@ def _gravity(ws: _Workspace, spacing: Spacing):
     # basis separate over axes, so everything heavy is assembled from 1D
     # per-axis pieces broadcast together once.
     p = ws.p
-    coords = _axis_coords(p.shape, spacing)
+    coords = axis_coords(p.shape, spacing)
     marg = (p.sum(axis=(1, 2)), p.sum(axis=(0, 2)), p.sum(axis=(0, 1)))
     mass = float(marg[0].sum())
     total = mass + GRAVITY_EPS
@@ -244,38 +249,87 @@ def _gravity(ws: _Workspace, spacing: Spacing):
     grad_p -= value
     grad_p *= ws.pq
     grad_p /= total
-    return value, grad_p
+    _add(ws, lam, grad_p)
+    return value
 
 
-def _inflation(ws: _Workspace, n: int):
+def _inflation(ws: _Workspace, lam: float) -> float:
     grad = np.negative(ws.pq, out=ws.a)
-    grad /= n
-    return -float(ws.p.sum()) / n, grad
+    grad /= ws.n
+    _add(ws, lam, grad)
+    return -float(ws.p.sum()) / ws.n
 
 
-def _anchor(ws: _Workspace, z: np.ndarray, z0: np.ndarray, n: int):
-    d = np.subtract(z, z0, out=ws.a)
-    value = float(np.multiply(d, d, out=ws.b).sum()) / n
+def _anchor(ws: _Workspace, lam: float) -> float:
+    d = np.subtract(ws.z, ws.z0, out=ws.a)
+    value = float(np.multiply(d, d, out=ws.b).sum()) / ws.n
     d *= 2.0
-    d /= n
-    return value, d
+    d /= ws.n
+    _add(ws, lam, d)
+    return value
+
+
+def objective(z0: np.ndarray, terms: Sequence[tuple[float, Kernel]]) -> Objective:
+    """Array-level evaluator z -> (sum of lam * term value, its gradient)
+    over ``(lam, kernel)`` pairs; zero-weight terms are dropped here, once.
+
+    The evaluator allocates its full-grid buffers once and reuses them: the
+    returned grad is overwritten by the next call, and one evaluator must not
+    be called from two threads at once.
+    """
+    terms = [(lam, kernel) for lam, kernel in terms if lam != 0.0]
+    ws = _Workspace(z0)
+
+    def evaluate(z: np.ndarray):
+        ws.load(z)
+        value = 0.0
+        for lam, kernel in terms:
+            value += lam * kernel(ws, lam)
+        return value, ws.grad
+
+    return evaluate
+
+
+def compact_objective(z0: np.ndarray, spacing: Spacing, weights: CompactWeights) -> Objective:
+    """The compaction hypothesis (entropy + total variation + gravity +
+    anchor) as an :func:`objective`."""
+    return objective(z0, [
+        (weights.lambda_ent, _entropy),
+        (weights.lambda_tv, _tv),
+        (weights.lambda_grav, partial(_gravity, spacing=spacing)),
+        (weights.lambda_anc, _anchor),
+    ])
+
+
+def diffuse_objective(z0: np.ndarray, g_map: np.ndarray, weights: DiffuseWeights) -> Objective:
+    """The diffuse-recovery hypothesis (entropy + edge-gated boundary penalty
+    + inflation + anchor) as an :func:`objective`."""
+    return objective(z0, [
+        (weights.lambda_ent, _entropy),
+        (weights.lambda_geo, partial(_geodesic, faces=_face_weights(g_map))),
+        (weights.lambda_inf, _inflation),
+        (weights.lambda_anc, _anchor),
+    ])
 
 
 # ---------------------------------------------------------------------------
-# public single-term operations (each on a fresh workspace)
+# public single-term operations and composite losses (each on fresh buffers)
 # ---------------------------------------------------------------------------
+
+
+def _single(z: Volume, kernel: Kernel, z0: Volume | None = None) -> LossTermResult:
+    value, grad = objective((z if z0 is None else z0).data, [(1.0, kernel)])(z.data)
+    return LossTermResult(value, z.with_data(grad))
 
 
 def entropy_term(z: Volume) -> LossTermResult:
     """Mean binary entropy of P = sigmoid(z); zero gradient at P = 1/2."""
-    value, grad = _entropy(_Workspace(z.dims).load(z.data), z.nvox)
-    return LossTermResult(value, z.with_data(grad))
+    return _single(z, _entropy)
 
 
 def tv_term(z: Volume) -> LossTermResult:
     """Smoothed total variation of P (Charbonnier |.|, eps = 1e-6), mean over voxels."""
-    value, grad = _tv(_Workspace(z.dims).load(z.data), z.nvox)
-    return LossTermResult(value, z.with_data(grad))
+    return _single(z, _tv)
 
 
 def gravity_term(z: Volume) -> LossTermResult:
@@ -284,21 +338,18 @@ def gravity_term(z: Volume) -> LossTermResult:
     Minimizing it pulls stray foreground mass toward the centroid; coordinates
     are physical, so anisotropic spacing is respected.
     """
-    value, grad = _gravity(_Workspace(z.dims).load(z.data), z.spacing)
-    return LossTermResult(value, z.with_data(grad))
+    return _single(z, partial(_gravity, spacing=z.spacing))
 
 
 def inflation_term(z: Volume) -> LossTermResult:
     """Negative mean foreground probability; descending it grows the region."""
-    value, grad = _inflation(_Workspace(z.dims).load(z.data), z.nvox)
-    return LossTermResult(value, z.with_data(grad))
+    return _single(z, _inflation)
 
 
 def anchor_term(z: Volume, z0: Volume) -> LossTermResult:
     """Mean squared logit deviation from the baseline, bounding refinement drift."""
     require_same_grid(z, z0, "logits and anchor logits")
-    value, grad = _anchor(_Workspace(z.dims), z.data, z0.data, z.nvox)
-    return LossTermResult(value, z.with_data(grad))
+    return _single(z, _anchor, z0)
 
 
 def geodesic_term(z: Volume, g: Volume) -> LossTermResult:
@@ -308,7 +359,22 @@ def geodesic_term(z: Volume, g: Volume) -> LossTermResult:
     With g identically 1 this reduces to :func:`tv_term` bit-for-bit.
     """
     require_same_grid(z, g, "logits and edge map")
-    value, grad = _geodesic(_Workspace(z.dims).load(z.data), g.data, z.nvox)
+    return _single(z, partial(_geodesic, faces=_face_weights(g.data)))
+
+
+def compact_loss(z: Volume, z0: Volume, weights: CompactWeights = CompactWeights()) -> LossTermResult:
+    """Weighted sum: entropy + total variation + gravity + anchor."""
+    require_same_grid(z, z0, "logits and anchor logits")
+    value, grad = compact_objective(z0.data, z.spacing, weights)(z.data)
+    return LossTermResult(value, z.with_data(grad))
+
+
+def diffuse_loss(z: Volume, z0: Volume, g: Volume,
+                 weights: DiffuseWeights = DiffuseWeights()) -> LossTermResult:
+    """Weighted sum: entropy + edge-gated boundary penalty + inflation + anchor."""
+    require_same_grid(z, z0, "logits and anchor logits")
+    require_same_grid(z, g, "logits and edge map")
+    value, grad = diffuse_objective(z0.data, g.data, weights)(z.data)
     return LossTermResult(value, z.with_data(grad))
 
 
@@ -345,107 +411,11 @@ def _gradient_magnitude(arr: np.ndarray, spacing: Spacing) -> np.ndarray:
         if n == 1:
             continue
         d = np.empty_like(arr)
-        mid = [slice(None)] * 3
-        fwd = [slice(None)] * 3
-        bwd = [slice(None)] * 3
-        mid[axis], fwd[axis], bwd[axis] = slice(1, -1), slice(2, None), slice(None, -2)
-        d[tuple(mid)] = arr[tuple(fwd)] - arr[tuple(bwd)]
-        first, second = [slice(None)] * 3, [slice(None)] * 3
-        first[axis], second[axis] = slice(0, 1), slice(1, 2)
-        d[tuple(first)] = arr[tuple(second)] - arr[tuple(first)]
-        last, prior = [slice(None)] * 3, [slice(None)] * 3
-        last[axis], prior[axis] = slice(n - 1, n), slice(n - 2, n - 1)
-        d[tuple(last)] = arr[tuple(last)] - arr[tuple(prior)]
+        d[along(axis, slice(1, -1))] = arr[along(axis, slice(2, None))] - arr[along(axis, slice(None, -2))]
+        first, second = along(axis, slice(0, 1)), along(axis, slice(1, 2))
+        d[first] = arr[second] - arr[first]
+        last, prior = along(axis, slice(n - 1, n)), along(axis, slice(n - 2, n - 1))
+        d[last] = arr[last] - arr[prior]
         d /= 2.0 * s
         out += d * d
     return np.sqrt(out)
-
-
-# ---------------------------------------------------------------------------
-# composite hypothesis losses
-# ---------------------------------------------------------------------------
-
-
-def compact_loss(z: Volume, z0: Volume, weights: CompactWeights = CompactWeights()) -> LossTermResult:
-    """Weighted sum: entropy + total variation + gravity + anchor."""
-    require_same_grid(z, z0, "logits and anchor logits")
-    value, grad = compact_objective(z0.data, z.spacing, weights)(z.data)
-    return LossTermResult(value, z.with_data(grad))
-
-
-def diffuse_loss(z: Volume, z0: Volume, g: Volume,
-                 weights: DiffuseWeights = DiffuseWeights()) -> LossTermResult:
-    """Weighted sum: entropy + edge-gated boundary penalty + inflation + anchor."""
-    require_same_grid(z, z0, "logits and anchor logits")
-    require_same_grid(z, g, "logits and edge map")
-    value, grad = diffuse_objective(z0.data, g.data, weights)(z.data)
-    return LossTermResult(value, z.with_data(grad))
-
-
-def compact_objective(z0: np.ndarray, spacing: Spacing, weights: CompactWeights) -> Objective:
-    """Array-level evaluator used by the optimizer loop: z -> (value, grad).
-
-    The evaluator allocates its full-grid buffers once and reuses them: the
-    returned grad is overwritten by the next call, and one evaluator must not
-    be called from two threads at once.
-    """
-    n = z0.size
-    ws = _Workspace(z0.shape)
-
-    def evaluate(z: np.ndarray):
-        ws.load(z)
-        value = 0.0
-        grad = ws.grad
-        grad.fill(0.0)
-        for lam, term in (
-            (weights.lambda_ent, lambda: _entropy(ws, n)),
-            (weights.lambda_tv, lambda: _tv(ws, n)),
-            (weights.lambda_grav, lambda: _gravity(ws, spacing)),
-            (weights.lambda_anc, lambda: _anchor(ws, z, z0, n)),
-        ):
-            if lam != 0.0:
-                v, g = term()
-                value += lam * v
-                _accumulate(grad, lam, g)
-        return value, grad
-
-    return evaluate
-
-
-def diffuse_objective(z0: np.ndarray, g_map: np.ndarray, weights: DiffuseWeights) -> Objective:
-    """Array-level evaluator used by the optimizer loop: z -> (value, grad).
-
-    Buffers are reused across calls as in :func:`compact_objective`.
-    """
-    n = z0.size
-    faces = _face_weights(g_map) if weights.lambda_geo != 0.0 else None
-    ws = _Workspace(z0.shape)
-
-    def evaluate(z: np.ndarray):
-        ws.load(z)
-        value = 0.0
-        grad = ws.grad
-        grad.fill(0.0)
-        if weights.lambda_ent != 0.0:
-            v, gr = _entropy(ws, n)
-            value += weights.lambda_ent * v
-            _accumulate(grad, weights.lambda_ent, gr)
-        if weights.lambda_geo != 0.0:
-            v, grad_p = _charbonnier_faces(ws, faces, n)
-            value += weights.lambda_geo * v
-            # (lambda_geo * grad_p) * pq: here the weight comes before the
-            # chain factor, in tv after it; the order shows in the last bit
-            grad_p *= weights.lambda_geo
-            grad_p *= ws.pq
-            grad += grad_p
-        if weights.lambda_inf != 0.0:
-            v, gr = _inflation(ws, n)
-            value += weights.lambda_inf * v
-            _accumulate(grad, weights.lambda_inf, gr)
-        if weights.lambda_anc != 0.0:
-            v, gr = _anchor(ws, z, z0, n)
-            value += weights.lambda_anc * v
-            _accumulate(grad, weights.lambda_anc, gr)
-        return value, grad
-
-    return evaluate

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.stats import rankdata
 
-from .volume import Mask, require_same_grid
+from .volume import Mask, along, require_same_grid
 
 
 @dataclass(frozen=True)
@@ -86,18 +86,12 @@ def surface_voxels(mask: Mask) -> np.ndarray:
     fg = mask.data
     boundary = np.zeros_like(fg)
     for axis in range(3):
-        lo = [slice(None)] * 3
-        hi = [slice(None)] * 3
-        lo[axis] = slice(0, 1)
-        hi[axis] = slice(fg.shape[axis] - 1, None)
-        boundary[tuple(lo)] |= fg[tuple(lo)]
-        boundary[tuple(hi)] |= fg[tuple(hi)]
-        a = [slice(None)] * 3
-        b = [slice(None)] * 3
-        a[axis] = slice(None, -1)
-        b[axis] = slice(1, None)
-        boundary[tuple(a)] |= fg[tuple(a)] & ~fg[tuple(b)]
-        boundary[tuple(b)] |= fg[tuple(b)] & ~fg[tuple(a)]
+        lo, hi = along(axis, slice(0, 1)), along(axis, slice(fg.shape[axis] - 1, None))
+        boundary[lo] |= fg[lo]
+        boundary[hi] |= fg[hi]
+        a, b = along(axis, slice(None, -1)), along(axis, slice(1, None))
+        boundary[a] |= fg[a] & ~fg[b]
+        boundary[b] |= fg[b] & ~fg[a]
     return boundary
 
 

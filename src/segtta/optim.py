@@ -12,13 +12,15 @@ updates the moments and the logits in place.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
 from . import losses
-from .volume import Case, Volume
+from .volume import Case, Volume, require
 
 HypothesisName = Literal["compact", "diffuse"]
 
@@ -34,6 +36,15 @@ class OptimizerProtocol:
     beta1: float = 0.9
     beta2: float = 0.999
     eps_adam: float = 1e-8
+
+    def __post_init__(self):
+        require(isinstance(self.steps, numbers.Integral) and self.steps >= 0,
+                f"steps must be an integer >= 0, got {self.steps!r}")
+        require(0.0 < self.lr < math.inf, f"lr must be finite and > 0, got {self.lr!r}")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            require(0.0 <= value < 1.0, f"{name} must lie in [0, 1), got {value!r}")
+        require(self.eps_adam > 0.0, f"eps_adam must be > 0, got {self.eps_adam!r}")
 
 
 @dataclass

@@ -46,7 +46,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .volume import Case, Mask, Spacing, Volume
+from .volume import Case, Mask, Spacing, Volume, axis_coords
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -184,15 +184,6 @@ def scenario_spec(scenario: str, seed: int, **overrides) -> PhantomSpec:
     return PhantomSpec(scenario=scenario, seed=seed, **kwargs)
 
 
-def _coord_axes(dims, spacing):
-    axes = []
-    for axis, (n, s) in enumerate(zip(dims, spacing)):
-        shape = [1, 1, 1]
-        shape[axis] = n
-        axes.append((np.arange(n, dtype=np.float64) * s).reshape(shape))
-    return axes
-
-
 def _ellipsoid_rho2(axes, center, radii) -> np.ndarray:
     out = 0.0
     for a, c, r in zip(axes, center, radii):
@@ -220,7 +211,7 @@ def _check_fit(spec: PhantomSpec, center, radii, what: str) -> None:
 def generate(spec: PhantomSpec) -> GeneratedPhantom:
     """Build (case, ground truth, annotations) from the spec, bit-reproducibly."""
     dims, spacing = spec.dims, spec.spacing
-    axes = _coord_axes(dims, spacing)
+    axes = axis_coords(tuple(dims), tuple(spacing))
     conf = spec.confidence_scale
     bg_conf = spec.background_confidence if spec.background_confidence is not None else conf
 

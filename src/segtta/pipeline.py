@@ -161,15 +161,16 @@ def run_cohort(
     cfg: PipelineConfig = PipelineConfig(),
     workers: int = 1,
 ) -> list[RunReport]:
-    """Order-preserving run over a cohort; per-case failures are recorded in
-    the report's ``error`` field and the cohort continues."""
+    """Order-preserving run over a cohort; a case whose refinement fails
+    numerically is recorded in its report's ``error`` field and the cohort
+    continues.  Any other exception propagates."""
     if len(cases) < 1:
         raise ValueError("cohort needs at least one case")
 
     def one(case: Case) -> RunReport:
         try:
             return run_case(case, cfg)
-        except Exception as exc:
+        except optim.NumericalFailure as exc:
             return RunReport(
                 case_id=case.case_id,
                 mode=cfg.mode,

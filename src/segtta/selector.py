@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .volume import Case, EmptyRegionError, Mask, Volume, mask_stats, require_same_grid, sigmoid, threshold
+from .volume import (Case, EmptyRegionError, Mask, Volume, mask_stats, require, require_same_grid, sigmoid,
+                     threshold)
 
 
 @dataclass(frozen=True)
@@ -25,6 +26,14 @@ class SelectorConfig:
     accept_threshold: float = 0.95  # diffuse accepted when score > this (strict)
     gamma: float = 1.5              # tolerance scaling on the core spread
     eps: float = 1e-6               # guard on sigma_core, in intensity units
+
+    def __post_init__(self):
+        for name in ("core_threshold", "accept_threshold"):
+            value = getattr(self, name)
+            require(0.0 <= value <= 1.0, f"{name} must lie in [0, 1], got {value!r}")
+        for name in ("gamma", "eps"):
+            value = getattr(self, name)
+            require(value > 0.0, f"{name} must be > 0, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -106,6 +107,13 @@ def same_grid(a, b) -> bool:
     return a.dims == b.dims and a.spacing == b.spacing
 
 
+def require(condition: bool, message: str) -> None:
+    """Raise ValueError(message) unless ``condition`` holds; a NaN fails every
+    comparison, so range checks written as ``lo <= x <= hi`` reject it."""
+    if not condition:
+        raise ValueError(message)
+
+
 def require_same_grid(a, b, what: str = "operands") -> None:
     if not same_grid(a, b):
         raise ValueError(
@@ -167,12 +175,28 @@ def forward_diff_array(arr: np.ndarray, axis: int) -> np.ndarray:
     if axis not in (0, 1, 2):
         raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
     out = np.zeros_like(arr)
-    src = [slice(None)] * 3
-    dst = [slice(None)] * 3
-    src[axis] = slice(1, None)
-    dst[axis] = slice(None, -1)
-    out[tuple(dst)] = arr[tuple(src)] - arr[tuple(dst)]
+    src, dst = along(axis, slice(1, None)), along(axis, slice(None, -1))
+    out[dst] = arr[src] - arr[dst]
     return out
+
+
+def along(axis: int, s: slice) -> tuple[slice, slice, slice]:
+    """Index of a 3D array taking ``s`` along ``axis`` and all of the other two."""
+    index = [slice(None)] * 3
+    index[axis] = s
+    return tuple(index)
+
+
+@lru_cache(maxsize=32)
+def axis_coords(dims: tuple[int, int, int], spacing: Spacing) -> tuple[np.ndarray, ...]:
+    """Physical coordinate (mm) of each index along each axis, shaped to
+    broadcast against a ``dims`` grid.  Cached, so the arrays are read-only."""
+    xs = []
+    for axis, (n, s) in enumerate(zip(dims, spacing)):
+        c = (np.arange(n, dtype=np.float64) * s).reshape([n if a == axis else 1 for a in range(3)])
+        c.flags.writeable = False
+        xs.append(c)
+    return tuple(xs)
 
 
 def threshold(v: Volume, t: float) -> Mask:

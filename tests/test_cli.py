@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import segtta
 from segtta import fileio, phantom
@@ -79,6 +80,13 @@ class TestRunCommand:
             ], env=env, check=True, capture_output=True, timeout=300)
             outs.append((mask_out.read_bytes(), report_out.read_bytes()))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("flag, value", [("--steps", "-3"), ("--lr", "nan")])
+    def test_invalid_protocol_exits_1(self, tmp_path, capsys, flag, value):
+        paths = write_phantom_files(tmp_path)
+        code = main(["run", "--image", paths["image"][0], "--logits", paths["logits"], flag, value])
+        assert code == 1
+        assert flag.lstrip("-") in capsys.readouterr().err
 
     def test_missing_input_exits_1(self, tmp_path, capsys):
         code = main(["run", "--image", str(tmp_path / "nope.vol"),
@@ -169,6 +177,25 @@ class TestOtherCommands:
         assert lines[0] == "case_id,dice,hd95_mm,precision,flagged,source"
         assert len(lines) == 3
         assert lines[1].startswith("clean_confident-0") and "baseline" in lines[1]
+
+    def test_ablate_wilcoxon_section(self, tmp_path, capsys):
+        # two flagged cases give at most two nonzero paired differences per
+        # metric, fewer than the test needs: each ablation that changes a
+        # mask is skipped, and no_gatekeeper (identical to full on flagged
+        # cases) has no nonzero difference at all, so p = 1
+        json_out = tmp_path / "table.json"
+        code = main(["ablate", "--mix", "under_segmented_matched=1,under_segmented_mismatched=1",
+                     "--seed", "0", "--steps", "5", "--json", str(json_out)])
+        assert code == 0
+        out = capsys.readouterr().out
+        section = out.split("full vs ablations (one-sided paired Wilcoxon, Holm-adjusted):\n")[1]
+        lines = section.splitlines()
+        assert [line.split()[1] for line in lines] == [
+            "no_gatekeeper", "no_edge_map", "only_compact", "only_diffuse"]
+        assert lines[0].split()[2:] == ["dice:", "p=1", "hd95:", "p=1", "precision:", "p=1"]
+        assert all("skipped (" in line and "nonzero paired differences" in line for line in lines[1:])
+        assert set(json.loads(json_out.read_text())) == {
+            "full", "no_gatekeeper", "no_edge_map", "only_compact", "only_diffuse"}
 
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["gradcheck", "--bogus"]) == 1

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from segtta import phantom
+from segtta.gatekeeper import GateThresholds
+from segtta.losses import EdgeMapConfig
 from segtta.optim import OptimizerProtocol
 from segtta.pipeline import MODES, PipelineConfig, run_case, run_cohort
+from segtta.selector import SelectorConfig
 from segtta.volume import Case, Volume, sigmoid, threshold
 
 SHORT = OptimizerProtocol(steps=120)
@@ -143,6 +146,55 @@ class TestRunCohort:
         assert reports[1].error is not None and "boom" in reports[1].error
         assert reports[1].final_mask is None
 
+    def test_programming_errors_propagate(self, clean, monkeypatch):
+        import segtta.pipeline as pl
+
+        def broken(case, cfg):
+            raise TypeError("bad operand")
+
+        monkeypatch.setattr(pl, "run_case", broken)
+        with pytest.raises(TypeError, match="bad operand"):
+            pl.run_cohort([clean.case], quick_cfg())
+
     def test_empty_cohort_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             run_cohort([], quick_cfg())
+
+
+BAD_CONFIGS = [
+    (OptimizerProtocol, dict(steps=-3)),
+    (OptimizerProtocol, dict(steps=2.5)),
+    (OptimizerProtocol, dict(lr=float("nan"))),
+    (OptimizerProtocol, dict(lr=0.0)),
+    (OptimizerProtocol, dict(lr=float("inf"))),
+    (OptimizerProtocol, dict(beta1=1.0)),
+    (OptimizerProtocol, dict(beta2=-0.1)),
+    (OptimizerProtocol, dict(eps_adam=0.0)),
+    (GateThresholds, dict(vol_min=-1)),
+    (GateThresholds, dict(unc_lo=0.9, unc_hi=0.1)),
+    (GateThresholds, dict(unc_lo=-0.1)),
+    (GateThresholds, dict(unc_hi=1.5)),
+    (GateThresholds, dict(unc_max=float("nan"))),
+    (GateThresholds, dict(unc_max=1.1)),
+    (EdgeMapConfig, dict(alpha=-1)),
+    (EdgeMapConfig, dict(alpha=float("inf"))),
+    (EdgeMapConfig, dict(sigma_mm=float("nan"))),
+    (SelectorConfig, dict(gamma=0)),
+    (SelectorConfig, dict(eps=-1e-6)),
+    (SelectorConfig, dict(core_threshold=1.2)),
+    (SelectorConfig, dict(accept_threshold=-0.5)),
+]
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("cls, kwargs", BAD_CONFIGS,
+                             ids=[f"{cls.__name__}-{kwargs}" for cls, kwargs in BAD_CONFIGS])
+    def test_out_of_range_rejected(self, cls, kwargs):
+        with pytest.raises(ValueError):
+            cls(**kwargs)
+
+    def test_boundary_values_accepted(self):
+        OptimizerProtocol(steps=0, beta1=0.0)
+        GateThresholds(vol_min=0, unc_lo=0.0, unc_hi=1.0, unc_max=1.0)
+        EdgeMapConfig(sigma_mm=0.0, alpha=0.0)
+        SelectorConfig(core_threshold=0.0, accept_threshold=1.0)
