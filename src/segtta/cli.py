@@ -133,9 +133,8 @@ def _cmd_phantom(args) -> int:
     files["logits0"] = "logits0.vol"
     fileio.write_volume(out / "gt.vol", gt)
     files["gt"] = "gt.vol"
-    for name in ("island", "rim", "uncertain", "beyond_shell"):
-        mask = getattr(ann, name)
-        if mask is not None:
+    for name, mask in vars(ann).items():
+        if isinstance(mask, Mask):
             fileio.write_volume(out / f"{name}.vol", mask)
             files[name] = f"{name}.vol"
     (out / "spec.json").write_text(fileio.spec_to_json(spec))

@@ -109,9 +109,12 @@ def read_volume(path) -> Volume | Mask:
     if zlib.crc32(payload) & 0xFFFFFFFF != stored_crc:
         raise CrcMismatchError(f"{path}: payload CRC mismatch")
     arr = np.frombuffer(payload, dtype=dtype).reshape(dims, order="F")
-    if tag == _TAG_MASK:
-        return Mask(arr != 0, spacing)
-    return Volume(arr.astype(np.float64), spacing)
+    try:
+        if tag == _TAG_MASK:
+            return Mask(arr != 0, spacing)
+        return Volume(arr.astype(np.float64), spacing)
+    except ValueError as exc:  # zero dim, non-finite payload or bad spacing
+        raise VolumeFileError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +171,9 @@ def spec_from_json(text: str, spec_cls):
     unknown = set(data) - field_names
     if unknown:
         raise ValueError(f"unknown spec fields: {sorted(unknown)}")
-    for key in ("dims", "spacing", "center_mm", "radii_mm", "island_offset_mm", "shell_scales"):
-        if key in data and isinstance(data[key], list):
-            data[key] = tuple(data[key])
-    if "fragment_offsets_mm" in data and isinstance(data["fragment_offsets_mm"], list):
-        data["fragment_offsets_mm"] = tuple(tuple(x) for x in data["fragment_offsets_mm"])
-    return spec_cls(**data)
+    return spec_cls(**{key: _tuples(value) for key, value in data.items()})
+
+
+def _tuples(value):
+    """JSON arrays, nested ones too, as the tuples the frozen specs hold."""
+    return tuple(_tuples(x) for x in value) if isinstance(value, list) else value

@@ -59,10 +59,8 @@ class CompactWeights:
     lambda_grav: float = 50.0
     lambda_anc: float = 50.0
 
-    name = "compact"
-
     def __post_init__(self):
-        _require_nonnegative(self)
+        _require_finite_nonnegative(self)
 
 
 @dataclass(frozen=True)
@@ -75,10 +73,8 @@ class DiffuseWeights:
     lambda_inf: float = 5.0
     lambda_anc: float = 0.1
 
-    name = "diffuse"
-
     def __post_init__(self):
-        _require_nonnegative(self)
+        _require_finite_nonnegative(self)
 
 
 @dataclass(frozen=True)
@@ -95,10 +91,10 @@ class EdgeMapConfig:
             require(0.0 <= value < math.inf, f"{name} must be finite and >= 0, got {value!r}")
 
 
-def _require_nonnegative(cfg) -> None:
+def _require_finite_nonnegative(cfg) -> None:
     for field, value in vars(cfg).items():
-        if field.startswith("lambda_") and value < 0:
-            raise ValueError(f"{field} must be >= 0, got {value}")
+        if field.startswith("lambda_"):
+            require(0.0 <= value < math.inf, f"{field} must be finite and >= 0, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,11 @@
 """Orchestration: gate -> hypothesis refinement -> selection -> final mask.
 
-Modes mirror the ablation rows:
-
-* ``full``          — gate; unflagged cases return the baseline binarization
-                      untouched; flagged cases refine both hypotheses and select.
-* ``no_gatekeeper`` — always refine and select (the gate verdict is still
-                      recorded for the report, but ignored).
-* ``no_edge_map``   — the diffuse loss sees g identically 1.
-* ``only_compact`` / ``only_diffuse`` — the gate still applies, but selection is
-                      skipped and the named hypothesis is used directly.
+Each ablation row is one entry of :data:`MODE_TABLE`, and :func:`run_case`
+takes one path for all of them.  A gated mode returns the baseline
+binarization untouched for an unflagged case; otherwise the mode's
+hypotheses are refined, and the texture selector picks between them when
+both ran.  ``no_gatekeeper`` still records the gate verdict, and
+``no_edge_map`` gives the diffuse loss g identically 1.
 """
 
 from __future__ import annotations
@@ -16,7 +13,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,7 +22,23 @@ from .gatekeeper import GateThresholds, GateVerdict, gate
 from .selector import SelectionResult, SelectorConfig, select
 from .volume import Case, Mask, Volume, sigmoid, threshold
 
-MODES = ("full", "no_gatekeeper", "no_edge_map", "only_compact", "only_diffuse")
+
+class Mode(NamedTuple):
+    """One ablation row: what :func:`run_case` does to a case in that mode."""
+
+    gated: bool                      # unflagged cases keep the baseline mask
+    hypotheses: tuple[str, ...]      # refined otherwise, in this order
+    edge_map: bool                   # diffuse sees the image edge map, not g == 1
+
+
+MODE_TABLE = {
+    "full": Mode(gated=True, hypotheses=("compact", "diffuse"), edge_map=True),
+    "no_gatekeeper": Mode(gated=False, hypotheses=("compact", "diffuse"), edge_map=True),
+    "no_edge_map": Mode(gated=True, hypotheses=("compact", "diffuse"), edge_map=False),
+    "only_compact": Mode(gated=True, hypotheses=("compact",), edge_map=True),
+    "only_diffuse": Mode(gated=True, hypotheses=("diffuse",), edge_map=True),
+}
+MODES = tuple(MODE_TABLE)
 
 
 @dataclass(frozen=True)
@@ -73,28 +86,23 @@ class RunReport:
 
 
 def run_case(case: Case, cfg: PipelineConfig = PipelineConfig()) -> RunReport:
-    """Apply the decision pipeline to one case."""
+    """Apply the decision pipeline to one case: gate, refine the hypotheses
+    the mode's row of :data:`MODE_TABLE` names (none when the gate applies and
+    does not flag the case), and select when both ran."""
+    row = MODE_TABLE[cfg.mode]
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     p0 = sigmoid(case.logits0)
     verdict = gate(p0, cfg.gate)
     timings["gate_s"] = time.perf_counter() - t0
 
-    adapt = verdict.flagged or cfg.mode == "no_gatekeeper"
-    if not adapt:
-        timings["total_s"] = time.perf_counter() - t0
-        return RunReport(
-            case_id=case.case_id,
-            mode=cfg.mode,
-            gate=verdict,
-            mask_source="baseline",
-            final_mask=threshold(p0, 0.5),
-            timings_s=timings,
-            config=cfg,
-        )
-
-    def refine_named(hypothesis, **kwargs):
+    def refine(hypothesis: str) -> optim.RefinementTrace:
         t1 = time.perf_counter()
+        if hypothesis == "compact":
+            kwargs = dict(weights=cfg.compact)
+        else:
+            g_override = None if row.edge_map else Volume(np.ones(case.dims), case.spacing)
+            kwargs = dict(weights=cfg.diffuse, edge_cfg=cfg.edge, g_override=g_override)
         try:
             trace = optim.refine(case, hypothesis, protocol=cfg.protocol, **kwargs)
         except optim.NumericalFailure as exc:
@@ -104,42 +112,20 @@ def run_case(case: Case, cfg: PipelineConfig = PipelineConfig()) -> RunReport:
         timings[f"{hypothesis}_s"] = time.perf_counter() - t1
         return trace
 
-    def run_diffuse():
-        g_override = None
-        if cfg.mode == "no_edge_map":
-            g_override = Volume(np.ones(case.dims), case.spacing)
-        return refine_named(
-            "diffuse", weights=cfg.diffuse, edge_cfg=cfg.edge, g_override=g_override
-        )
+    hypotheses = row.hypotheses if verdict.flagged or not row.gated else ()
+    # the refinements share only immutable inputs, so one worker or two give
+    # identical traces
+    with ThreadPoolExecutor(max_workers=2 if cfg.parallel_hypotheses else 1) as pool:
+        traces = dict(zip(hypotheses, pool.map(refine, hypotheses)))
 
-    compact_trace = diffuse_trace = None
-    if cfg.mode == "only_compact":
-        compact_trace = refine_named("compact", weights=cfg.compact)
-    elif cfg.mode == "only_diffuse":
-        diffuse_trace = run_diffuse()
-    elif cfg.parallel_hypotheses:
-        # the two refinements share only immutable inputs; results are
-        # identical to sequential execution
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            compact_future = pool.submit(refine_named, "compact", weights=cfg.compact)
-            diffuse_future = pool.submit(run_diffuse)
-            compact_trace = compact_future.result()
-            diffuse_trace = diffuse_future.result()
-    else:
-        compact_trace = refine_named("compact", weights=cfg.compact)
-        diffuse_trace = run_diffuse()
-
-    selection = None
-    if cfg.mode == "only_compact":
-        source, final_z = "compact", compact_trace.final_z
-    elif cfg.mode == "only_diffuse":
-        source, final_z = "diffuse", diffuse_trace.final_z
-    else:
+    source, selection = next(iter(traces), "baseline"), None
+    if len(traces) == 2:
         t1 = time.perf_counter()
-        selection = select(case, compact_trace.final_z, diffuse_trace.final_z, cfg.selector)
+        selection = select(case, traces["compact"].final_z, traces["diffuse"].final_z, cfg.selector)
         timings["select_s"] = time.perf_counter() - t1
         source = selection.chosen
-        final_z = compact_trace.final_z if source == "compact" else diffuse_trace.final_z
+    final_p = sigmoid(traces[source].final_z) if traces else p0
+    summaries = {h: TraceSummary.of(t) for h, t in traces.items()}
 
     timings["total_s"] = time.perf_counter() - t0
     return RunReport(
@@ -147,9 +133,9 @@ def run_case(case: Case, cfg: PipelineConfig = PipelineConfig()) -> RunReport:
         mode=cfg.mode,
         gate=verdict,
         mask_source=source,
-        final_mask=threshold(sigmoid(final_z), 0.5),
-        compact_trace=TraceSummary.of(compact_trace) if compact_trace else None,
-        diffuse_trace=TraceSummary.of(diffuse_trace) if diffuse_trace else None,
+        final_mask=threshold(final_p, 0.5),
+        compact_trace=summaries.get("compact"),
+        diffuse_trace=summaries.get("diffuse"),
         selection=selection,
         timings_s=timings,
         config=cfg,
@@ -181,7 +167,5 @@ def run_cohort(
                 config=cfg,
             )
 
-    if workers <= 1:
-        return [one(c) for c in cases]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
         return list(pool.map(one, cases))

@@ -141,6 +141,10 @@ class TestOtherCommands:
             assert (out / name).exists()
         spec = fileio.spec_from_json((out / "spec.json").read_text(), phantom.PhantomSpec)
         assert spec == phantom.scenario_spec("noise_island", 7)
+        ann = phantom.generate(spec).annotations
+        for name in ("halo", "leak_band"):
+            assert manifest["files"][name] == f"{name}.vol"
+            assert np.array_equal(fileio.read_volume(out / f"{name}.vol").data, getattr(ann, name).data)
 
     def test_phantom_from_spec_file(self, tmp_path):
         spec = phantom.scenario_spec("fragmented_small", seed=9)

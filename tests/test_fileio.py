@@ -1,4 +1,5 @@
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from segtta.fileio import (
     CrcMismatchError,
     TruncatedFileError,
     UnsupportedVersionError,
+    VolumeFileError,
     read_report,
     read_volume,
     write_report,
@@ -100,6 +102,22 @@ class TestVolumeErrors:
         write_volume(path, v)
         path.write_bytes(path.read_bytes()[:-9])
         with pytest.raises(TruncatedFileError):
+            read_volume(path)
+
+    @pytest.mark.parametrize("tag, dims, spacing, payload", [
+        (2, (0, 2, 2), (1.0, 1.0, 1.0), b""),
+        (2, (2, 1, 1), (1.0, 1.0, 1.0), np.array([0.0, np.nan], "<f8").tobytes()),
+        (3, (1, 1, 1), (1.0, 0.0, 1.0), b"\x01"),
+        (2, (1, 1, 1), (np.nan, 1.0, 1.0), np.zeros(1, "<f8").tobytes()),
+    ], ids=["zero-dim", "nan-payload", "zero-spacing", "nan-spacing"])
+    def test_valid_container_with_invalid_contents(self, tmp_path, tag, dims, spacing, payload):
+        # header and CRC are well formed; only the grid or the values are not
+        header = b"HDTV" + (1).to_bytes(2, "little") + bytes([tag])
+        header += b"".join(n.to_bytes(4, "little") for n in dims)
+        header += np.array(spacing, "<f8").tobytes()
+        path = tmp_path / "x.vol"
+        path.write_bytes(header + payload + zlib.crc32(payload).to_bytes(4, "little"))
+        with pytest.raises(VolumeFileError, match="x.vol"):
             read_volume(path)
 
     def test_missing_file_reports_path(self, tmp_path):

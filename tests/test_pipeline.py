@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from segtta import phantom
+from segtta import fileio, phantom
 from segtta.gatekeeper import GateThresholds
-from segtta.losses import EdgeMapConfig
+from segtta.losses import CompactWeights, DiffuseWeights, EdgeMapConfig
 from segtta.optim import OptimizerProtocol
 from segtta.pipeline import MODES, PipelineConfig, run_case, run_cohort
 from segtta.selector import SelectorConfig
@@ -85,6 +87,18 @@ class TestRunCase:
         case, _, _ = clean
         report = run_case(case, quick_cfg())
         assert "gate_s" in report.timings_s and "total_s" in report.timings_s
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("fixture", ["island", "clean"])
+    def test_one_worker_or_two_give_identical_outputs(self, mode, fixture, request):
+        case = request.getfixturevalue(fixture).case
+        par = run_case(case, PipelineConfig(mode=mode, protocol=SHORT, parallel_hypotheses=True))
+        ser = run_case(case, PipelineConfig(mode=mode, protocol=SHORT, parallel_hypotheses=False))
+        assert par.gate.flagged == (fixture == "island")
+        # the configs differ only in the flag under test
+        assert (fileio.dumps_report(dataclasses.replace(par, config=ser.config), include_timings=False)
+                == fileio.dumps_report(ser, include_timings=False))
+        assert np.array_equal(par.final_mask.data, ser.final_mask.data)
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
@@ -183,6 +197,10 @@ BAD_CONFIGS = [
     (SelectorConfig, dict(eps=-1e-6)),
     (SelectorConfig, dict(core_threshold=1.2)),
     (SelectorConfig, dict(accept_threshold=-0.5)),
+    (CompactWeights, dict(lambda_tv=float("nan"))),
+    (CompactWeights, dict(lambda_grav=float("inf"))),
+    (DiffuseWeights, dict(lambda_inf=float("nan"))),
+    (DiffuseWeights, dict(lambda_geo=float("inf"))),
 ]
 
 
