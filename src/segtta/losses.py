@@ -17,6 +17,10 @@ into the workspace's sum.  The kernel applies the weight, so each keeps its
 own operand order: most scale their finished gradient, ``lam * (grad_p * pq)``
 for tv, while geodesic scales before the chain factor, ``(lam * grad_p) * pq``.
 A public ``*_term`` function is the single-term table with weight 1.
+
+An evaluator called with ``value=False`` returns the gradient only: each
+kernel skips the operations that serve its value alone, and the gradient is
+bit-identical to the one ``value=True`` returns.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ TV_EPS = 1e-6
 PROB_CLAMP = 1e-7
 GRAVITY_EPS = 1e-8
 
-Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
+Objective = Callable[..., tuple[float | None, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -112,16 +116,16 @@ class _Workspace:
         self.z0, self.n = z0, z0.size
         self.p, self.pq, self.grad, self.a, self.b, self.c = (np.empty(z0.shape) for _ in range(6))
 
-    def load(self, z: np.ndarray) -> None:
-        self.z = z
+    def load(self, z: np.ndarray, value: bool) -> None:
+        self.z, self.value = z, value
         expit(z, out=self.p)
         np.multiply(self.p, np.subtract(1.0, self.p, out=self.pq), out=self.pq)
         self.grad.fill(0.0)
 
 
 # A kernel adds lam times its gradient into ws.grad and returns its
-# unweighted value.
-Kernel = Callable[[_Workspace, float], float]
+# unweighted value, or None when ws.value is False.
+Kernel = Callable[[_Workspace, float], float | None]
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
@@ -143,7 +147,7 @@ def _entropy(ws: _Workspace, lam: float) -> float:
     np.subtract(1.0, p, out=q)
     np.log(np.maximum(p, PROB_CLAMP, out=lp), out=lp)
     np.log(np.maximum(q, PROB_CLAMP, out=lq), out=lq)
-    value = -(_dot(p, lp) + _dot(q, lq)) / ws.n
+    value = -(_dot(p, lp) + _dot(q, lq)) / ws.n if ws.value else None
     # dH/dP = -(lp - lq + [P > c] - [1-P > c]); the indicator difference
     # vanishes in-band and supplies the exact derivative at saturated voxels.
     # The masks are built only when some voxel saturates (fmin skips NaN, as
@@ -159,7 +163,7 @@ def _entropy(ws: _Workspace, lam: float) -> float:
     return value
 
 
-def _charbonnier_faces(ws: _Workspace, face_w: Sequence[np.ndarray] | None) -> float:
+def _charbonnier_faces(ws: _Workspace, face_w: Sequence[np.ndarray] | None) -> float | None:
     # sum over axes of w * (sqrt(d^2 + eps^2) - eps) with d the forward
     # difference (replicate boundary: final slab is zero), averaged over N;
     # zero-difference entries contribute exactly zero.  The gradient with
@@ -175,18 +179,17 @@ def _charbonnier_faces(ws: _Workspace, face_w: Sequence[np.ndarray] | None) -> f
         root += TV_EPS * TV_EPS
         np.sqrt(root, out=root)
         np.divide(d, root, out=d)  # d now holds u
-        root -= TV_EPS  # smoothed |d|, exactly zero where d is zero
-        if face_w is None:
-            value += root.sum()
-        else:
+        if ws.value:
+            root -= TV_EPS  # smoothed |d|, exactly zero where d is zero
             # (w * root).sum() keeps the same pairwise reduction as the
             # unweighted path, so g == 1 reproduces tv bit-for-bit
-            value += np.multiply(face_w[axis], root, out=root).sum()
+            value += (root if face_w is None else np.multiply(face_w[axis], root, out=root)).sum()
+        if face_w is not None:
             d *= face_w[axis]
         grad -= d
         grad[src] += d[dst]
     grad /= ws.n
-    return value / ws.n
+    return value / ws.n if ws.value else None
 
 
 def _face_weights(g: np.ndarray) -> list[np.ndarray]:
@@ -253,12 +256,12 @@ def _inflation(ws: _Workspace, lam: float) -> float:
     grad = np.negative(ws.pq, out=ws.a)
     grad /= ws.n
     _add(ws, lam, grad)
-    return -float(ws.p.sum()) / ws.n
+    return -float(ws.p.sum()) / ws.n if ws.value else None
 
 
 def _anchor(ws: _Workspace, lam: float) -> float:
     d = np.subtract(ws.z, ws.z0, out=ws.a)
-    value = float(np.multiply(d, d, out=ws.b).sum()) / ws.n
+    value = float(np.multiply(d, d, out=ws.b).sum()) / ws.n if ws.value else None
     d *= 2.0
     d /= ws.n
     _add(ws, lam, d)
@@ -266,8 +269,10 @@ def _anchor(ws: _Workspace, lam: float) -> float:
 
 
 def objective(z0: np.ndarray, terms: Sequence[tuple[float, Kernel]]) -> Objective:
-    """Array-level evaluator z -> (sum of lam * term value, its gradient)
-    over ``(lam, kernel)`` pairs; zero-weight terms are dropped here, once.
+    """Array-level evaluator ``(z, value=True) -> (sum of lam * term value,
+    its gradient)`` over ``(lam, kernel)`` pairs; zero-weight terms are
+    dropped here, once.  With ``value=False`` the value is None and the
+    kernels skip the work only the value needs; the gradient is bit-identical.
 
     The evaluator allocates its full-grid buffers once and reuses them: the
     returned grad is overwritten by the next call, and one evaluator must not
@@ -276,12 +281,14 @@ def objective(z0: np.ndarray, terms: Sequence[tuple[float, Kernel]]) -> Objectiv
     terms = [(lam, kernel) for lam, kernel in terms if lam != 0.0]
     ws = _Workspace(z0)
 
-    def evaluate(z: np.ndarray):
-        ws.load(z)
-        value = 0.0
+    def evaluate(z: np.ndarray, value: bool = True):
+        ws.load(z, value)
+        total = 0.0
         for lam, kernel in terms:
-            value += lam * kernel(ws, lam)
-        return value, ws.grad
+            term = kernel(ws, lam)
+            if value:
+                total += lam * term
+        return (total if value else None), ws.grad
 
     return evaluate
 

@@ -8,6 +8,10 @@ size.
 The loop allocates no full-grid array per step.  The objective returns a
 gradient buffer that it overwrites on its next call, and :func:`adam_step`
 updates the moments and the logits in place.
+
+Adam needs only the gradient, so the loss value is computed on sampled steps
+alone: step 0, every ``loss_every``-th step and the last step.  Sampling
+changes no gradient and no logit, only how many points the loss curve holds.
 """
 
 from __future__ import annotations
@@ -67,11 +71,16 @@ class AdamState:
 
 @dataclass(frozen=True)
 class RefinementTrace:
-    """Loss at the start and after every step (length steps + 1), plus the
-    refined logits."""
+    """The loss curve on the sampled steps, plus the refined logits.
+
+    ``loss_values[i]`` is the loss after ``loss_steps[i]`` Adam steps; the
+    samples are step 0, every ``loss_every``-th step and the last step, so
+    ``loss_every=1`` gives the loss at the start and after every step.
+    """
 
     hypothesis: HypothesisName
     loss_values: tuple[float, ...]
+    loss_steps: tuple[int, ...]
     final_z: Volume
 
     @property
@@ -84,7 +93,7 @@ class RefinementTrace:
 
     @property
     def steps(self) -> int:
-        return len(self.loss_values) - 1
+        return self.loss_steps[-1]
 
 
 def adam_step(state: AdamState, z: np.ndarray, grad: np.ndarray) -> tuple[AdamState, np.ndarray]:
@@ -122,13 +131,19 @@ def refine(
     protocol: OptimizerProtocol = OptimizerProtocol(),
     edge_cfg: losses.EdgeMapConfig = losses.EdgeMapConfig(),
     g_override: Volume | None = None,
+    *,
+    loss_every: int = 50,
 ) -> RefinementTrace:
     """Run the named hypothesis loss from z = z0 for ``protocol.steps`` updates.
 
     For the diffuse hypothesis the edge map is computed once from the case
     image before iteration (``g_override`` replaces it, e.g. an all-ones map
-    for the no-edge-map ablation).
+    for the no-edge-map ablation).  The loss value is recorded at step 0,
+    every ``loss_every``-th step and the last step; the refined logits do not
+    depend on ``loss_every``.
     """
+    require(isinstance(loss_every, numbers.Integral) and loss_every >= 1,
+            f"loss_every must be an integer >= 1, got {loss_every!r}")
     z0 = case.logits0.data
     if hypothesis == "compact":
         weights = weights if weights is not None else losses.CompactWeights()
@@ -146,13 +161,18 @@ def refine(
     z = z0.copy()
     state = AdamState.fresh(z.shape, protocol)
     value, grad = objective(z)
-    curve = [value]
-    for _ in range(protocol.steps):
+    curve, sampled = [value], [0]
+    for step in range(1, protocol.steps + 1):
         state, z = adam_step(state, z, grad)
-        value, grad = objective(z)
-        curve.append(value)
+        if step % loss_every == 0 or step == protocol.steps:
+            value, grad = objective(z)
+            curve.append(value)
+            sampled.append(step)
+        else:
+            _, grad = objective(z, value=False)
     return RefinementTrace(
         hypothesis=hypothesis,
         loss_values=tuple(curve),
+        loss_steps=tuple(sampled),
         final_z=Volume(z, case.spacing),
     )

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import segtta
-from segtta import fileio, phantom
+from segtta import fileio, optim, phantom
 from segtta.cli import main
 from segtta.volume import Mask
 
@@ -80,6 +81,26 @@ class TestRunCommand:
             ], env=env, check=True, capture_output=True, timeout=300)
             outs.append((mask_out.read_bytes(), report_out.read_bytes()))
         assert outs[0] == outs[1]
+
+    def test_report_does_not_depend_on_loss_every(self, tmp_path, monkeypatch):
+        # the loss curve is sampled every 50th step by default; the report
+        # keeps its first and last value, which every sampling includes
+        paths = write_phantom_files(tmp_path, scenario="fragmented_small", seed=4)
+        refine = optim.refine
+        outs = []
+        for loss_every in (50, 1, 7):
+            monkeypatch.setattr(optim, "refine", functools.partial(refine, loss_every=loss_every))
+            mask_out = tmp_path / f"mask_{loss_every}.vol"
+            report_out = tmp_path / f"report_{loss_every}.json"
+            code = main([
+                "run", "--image", paths["image"][0], "--logits", paths["logits"],
+                "--out-mask", str(mask_out), "--report", str(report_out),
+                "--steps", "60", "--no-timing",
+            ])
+            assert code == 0
+            outs.append((mask_out.read_bytes(), report_out.read_bytes()))
+        assert json.loads(outs[0][1])["mask_source"] != "baseline"
+        assert outs[0] == outs[1] == outs[2]
 
     @pytest.mark.parametrize("flag, value", [("--steps", "-3"), ("--lr", "nan")])
     def test_invalid_protocol_exits_1(self, tmp_path, capsys, flag, value):

@@ -293,6 +293,29 @@ class TestObjectiveBuffers:
         assert threaded == alone
 
 
+class TestGradientOnly:
+    """``value=False`` skips the value-only work and must leave the gradient
+    bit-identical."""
+
+    @pytest.mark.parametrize("table", ["compact", "diffuse", "g_one"])
+    def test_gradient_does_not_depend_on_value(self, table):
+        dims = (12, 10, 9)
+        z0 = rand_vol(80, dims=dims).data
+        g = rand_gmap(81, dims=dims).data if table == "diffuse" else np.ones(dims)
+        if table == "compact":
+            objective = losses.compact_objective(z0, SPACING, losses.CompactWeights())
+        else:
+            objective = losses.diffuse_objective(z0, g, losses.DiffuseWeights())
+        # the last field saturates: |z| up to ~400
+        for seed, scale in ((82, 1.0), (83, 4.0), (84, 100.0)):
+            z = rand_vol(seed, dims=dims, scale=scale).data
+            none, grad = objective(z, value=False)
+            grad_only = grad.tobytes()
+            value, grad = objective(z)
+            assert none is None and math.isfinite(value)
+            assert grad.tobytes() == grad_only
+
+
 class TestAxisPermutation:
     @pytest.mark.parametrize("perm", [(1, 2, 0), (2, 0, 1), (0, 2, 1)])
     def test_values_invariant_under_permutation(self, perm):
