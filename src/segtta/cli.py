@@ -223,7 +223,7 @@ def _print_full_vs_ablations(per_mode) -> None:
 
 
 def _cmd_gradcheck(args) -> int:
-    results = gradcheck.check_all(seed=args.seed, volumes=args.volumes)
+    results = gradcheck.check_all(seed=args.seed, volumes=args.volumes, dims=tuple(args.dims))
     worst = 0.0
     for term, res in results.items():
         print(f"{term:<10} max rel err {res.max_rel_err:.3e}  "
@@ -292,6 +292,8 @@ def build_parser() -> _Parser:
                        help="finite-difference check of every loss gradient")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--volumes", type=int, default=20)
+    p.add_argument("--dims", type=int, nargs=3, default=[4, 4, 4], metavar=("NX", "NY", "NZ"),
+                   help="grid of each random volume")
     p.add_argument("--tolerance", type=float, default=gradcheck.DEFAULT_TOLERANCE)
     p.set_defaults(func=_cmd_gradcheck)
 

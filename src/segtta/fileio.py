@@ -58,6 +58,10 @@ class CrcMismatchError(VolumeFileError):
     pass
 
 
+class BadMaskByteError(VolumeFileError):
+    """A mask payload byte other than 0 or 1."""
+
+
 def write_volume(path, v: Volume | Mask, dtype: str = "f64") -> None:
     """Serialize to the HDTV container.  Masks always use the u8 tag."""
     if isinstance(v, Mask):
@@ -109,6 +113,8 @@ def read_volume(path) -> Volume | Mask:
     if zlib.crc32(payload) & 0xFFFFFFFF != stored_crc:
         raise CrcMismatchError(f"{path}: payload CRC mismatch")
     arr = np.frombuffer(payload, dtype=dtype).reshape(dims, order="F")
+    if tag == _TAG_MASK and (top := int(arr.max(initial=0))) > 1:
+        raise BadMaskByteError(f"{path}: mask bytes must be 0 or 1, found {top}")
     try:
         if tag == _TAG_MASK:
             return Mask(arr != 0, spacing)

@@ -57,6 +57,15 @@ class PipelineConfig:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
 
 
+class CaseFailure(optim.NumericalFailure):
+    """A refinement in :func:`run_case` failed numerically; carries the gate
+    verdict computed before it, for the cohort's error report."""
+
+    def __init__(self, message: str, verdict: GateVerdict):
+        super().__init__(message)
+        self.verdict = verdict
+
+
 @dataclass(frozen=True)
 class TraceSummary:
     initial_loss: float
@@ -106,9 +115,8 @@ def run_case(case: Case, cfg: PipelineConfig = PipelineConfig()) -> RunReport:
         try:
             trace = optim.refine(case, hypothesis, protocol=cfg.protocol, **kwargs)
         except optim.NumericalFailure as exc:
-            raise optim.NumericalFailure(
-                f"case {case.case_id!r}, hypothesis {hypothesis}: {exc}"
-            ) from exc
+            raise CaseFailure(f"case {case.case_id!r}, hypothesis {hypothesis}: {exc}",
+                              verdict) from exc
         timings[f"{hypothesis}_s"] = time.perf_counter() - t1
         return trace
 
@@ -157,10 +165,12 @@ def run_cohort(
         try:
             return run_case(case, cfg)
         except optim.NumericalFailure as exc:
+            # run_case's failures carry its verdict; gate only a bare one
+            verdict = exc.verdict if isinstance(exc, CaseFailure) else gate(sigmoid(case.logits0), cfg.gate)
             return RunReport(
                 case_id=case.case_id,
                 mode=cfg.mode,
-                gate=gate(sigmoid(case.logits0), cfg.gate),
+                gate=verdict,
                 mask_source="baseline",
                 final_mask=None,
                 error=f"{case.case_id}: {exc}",

@@ -182,6 +182,16 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "OK" in out and "entropy" in out
 
+    def test_gradcheck_off_the_cube(self, capsys):
+        # a singleton axis and unequal extents, on the checker's anisotropic
+        # spacing, at the default tolerance and volume count
+        assert main(["gradcheck", "--dims", "5", "1", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "OK: all gradients within 1.0e-03" in out
+        for term in ("entropy", "tv", "gravity", "geodesic", "inflation", "anchor",
+                     "compact", "diffuse"):
+            assert f"{term:<10} max rel err" in out and "(checked 300, excluded" in out
+
     def test_ablate_prints_table(self, tmp_path, capsys):
         json_out = tmp_path / "table.json"
         csv_out = tmp_path / "cases.csv"

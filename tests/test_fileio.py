@@ -7,6 +7,7 @@ import pytest
 from segtta import fileio, phantom, pipeline
 from segtta.fileio import (
     BadMagicError,
+    BadMaskByteError,
     CrcMismatchError,
     TruncatedFileError,
     UnsupportedVersionError,
@@ -118,6 +119,17 @@ class TestVolumeErrors:
         path = tmp_path / "x.vol"
         path.write_bytes(header + payload + zlib.crc32(payload).to_bytes(4, "little"))
         with pytest.raises(VolumeFileError, match="x.vol"):
+            read_volume(path)
+
+    def test_mask_byte_other_than_0_or_1(self, tmp_path):
+        # a 2x2x2 mask with one byte set to 7 and a CRC that matches it
+        payload = bytes([0, 1, 0, 7, 1, 0, 0, 1])
+        header = b"HDTV" + (1).to_bytes(2, "little") + bytes([3])
+        header += b"".join(n.to_bytes(4, "little") for n in (2, 2, 2))
+        header += np.ones(3, "<f8").tobytes()
+        path = tmp_path / "m.vol"
+        path.write_bytes(header + payload + zlib.crc32(payload).to_bytes(4, "little"))
+        with pytest.raises(BadMaskByteError, match="m.vol.*found 7"):
             read_volume(path)
 
     def test_missing_file_reports_path(self, tmp_path):

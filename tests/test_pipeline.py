@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from segtta import fileio, phantom
-from segtta.gatekeeper import GateThresholds
+from segtta.gatekeeper import GateThresholds, gate
 from segtta.losses import CompactWeights, DiffuseWeights, EdgeMapConfig
 from segtta.optim import OptimizerProtocol
 from segtta.pipeline import MODES, PipelineConfig, run_case, run_cohort
@@ -159,6 +159,30 @@ class TestRunCohort:
         assert reports[0].error is None
         assert reports[1].error is not None and "boom" in reports[1].error
         assert reports[1].final_mask is None
+
+    def test_failed_refinement_reports_the_verdict_without_regating(self, clean, island,
+                                                                     monkeypatch):
+        import segtta.pipeline as pl
+
+        def failing(case, hypothesis, **kwargs):
+            raise pl.optim.NumericalFailure("non-finite gradient at step 7")
+
+        calls = []
+
+        def counting(p0, thresholds):
+            calls.append(p0)
+            return gate(p0, thresholds)
+
+        monkeypatch.setattr(pl.optim, "refine", failing)
+        monkeypatch.setattr(pl, "gate", counting)
+        cases = [island.case, clean.case, island.case]
+        reports = pl.run_cohort(cases, quick_cfg("no_gatekeeper"), workers=2)
+        assert len(calls) == len(cases)
+        for case, report in zip(cases, reports):
+            assert report.error is not None and "step 7" in report.error
+            assert report.final_mask is None and report.mask_source == "baseline"
+            assert report.gate == gate(sigmoid(case.logits0), GateThresholds())
+        assert reports[0].gate.flagged and not reports[1].gate.flagged
 
     def test_programming_errors_propagate(self, clean, monkeypatch):
         import segtta.pipeline as pl
