@@ -116,8 +116,9 @@ class _Workspace:
 
     def load(self, z: np.ndarray, value: bool) -> None:
         self.z, self.value = z, value
-        # P = 1 / (1 + exp(-z)) with numpy's vectorized exp, within 1 ulp of
-        # scipy's expit; exp(-z) overflows to inf for z < -709, giving P = 0
+        # P = 1 / (1 + exp(-z)) with numpy's vectorized exp, a few ulp from
+        # scipy's expit at most; exp(-z) overflows to inf for z < -709,
+        # giving P = 0
         with np.errstate(over="ignore"):
             np.exp(np.negative(z, out=self.p), out=self.p)
         self.p += 1.0
@@ -253,14 +254,14 @@ def _gravity(ws: _Workspace, lam: float, spacing: Spacing) -> float:
     return value
 
 
-def _inflation(ws: _Workspace, lam: float) -> float:
+def _inflation(ws: _Workspace, lam: float) -> float | None:
     grad = np.negative(ws.pq, out=ws.a)
     grad /= ws.n
     _add(ws, lam, grad)
     return -float(ws.p.sum()) / ws.n if ws.value else None
 
 
-def _anchor(ws: _Workspace, lam: float) -> float:
+def _anchor(ws: _Workspace, lam: float) -> float | None:
     d = np.subtract(ws.z, ws.z0, out=ws.a)
     value = float(np.multiply(d, d, out=ws.b).sum()) / ws.n if ws.value else None
     d *= 2.0

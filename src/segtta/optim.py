@@ -164,12 +164,11 @@ def refine(
     curve, sampled = [value], [0]
     for step in range(1, protocol.steps + 1):
         state, z = adam_step(state, z, grad)
-        if step % loss_every == 0 or step == protocol.steps:
-            value, grad = objective(z)
+        sample = step % loss_every == 0 or step == protocol.steps
+        value, grad = objective(z, value=sample)
+        if sample:
             curve.append(value)
             sampled.append(step)
-        else:
-            _, grad = objective(z, value=False)
     return RefinementTrace(
         hypothesis=hypothesis,
         loss_values=tuple(curve),

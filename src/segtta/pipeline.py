@@ -166,7 +166,10 @@ def run_cohort(
             return run_case(case, cfg)
         except optim.NumericalFailure as exc:
             # run_case's failures carry its verdict; gate only a bare one
-            verdict = exc.verdict if isinstance(exc, CaseFailure) else gate(sigmoid(case.logits0), cfg.gate)
+            if isinstance(exc, CaseFailure):
+                verdict = exc.verdict
+            else:
+                verdict = gate(sigmoid(case.logits0), cfg.gate)
             return RunReport(
                 case_id=case.case_id,
                 mode=cfg.mode,
