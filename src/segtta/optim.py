@@ -10,8 +10,9 @@ gradient buffer that it overwrites on its next call, and :func:`adam_step`
 updates the moments and the logits in place.
 
 Adam needs only the gradient, so the loss value is computed on sampled steps
-alone: step 0, every ``loss_every``-th step and the last step.  Sampling
-changes no gradient and no logit, only how many points the loss curve holds.
+alone: step 0, every :data:`LOSS_EVERY`-th step and the last step.
+Sampling changes no gradient and no logit, only how many points the loss
+curve holds.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from . import losses
 from .volume import Case, Volume, require
 
 HypothesisName = Literal["compact", "diffuse"]
+
+#: Spacing of the sampled loss curve, in Adam steps.
+LOSS_EVERY = 50
 
 
 class NumericalFailure(RuntimeError):
@@ -74,8 +78,7 @@ class RefinementTrace:
     """The loss curve on the sampled steps, plus the refined logits.
 
     ``loss_values[i]`` is the loss after ``loss_steps[i]`` Adam steps; the
-    samples are step 0, every ``loss_every``-th step and the last step, so
-    ``loss_every=1`` gives the loss at the start and after every step.
+    samples are step 0, every :data:`LOSS_EVERY`-th step and the last step.
     """
 
     hypothesis: HypothesisName
@@ -131,19 +134,14 @@ def refine(
     protocol: OptimizerProtocol = OptimizerProtocol(),
     edge_cfg: losses.EdgeMapConfig = losses.EdgeMapConfig(),
     g_override: Volume | None = None,
-    *,
-    loss_every: int = 50,
 ) -> RefinementTrace:
     """Run the named hypothesis loss from z = z0 for ``protocol.steps`` updates.
 
     For the diffuse hypothesis the edge map is computed once from the case
     image before iteration (``g_override`` replaces it, e.g. an all-ones map
     for the no-edge-map ablation).  The loss value is recorded at step 0,
-    every ``loss_every``-th step and the last step; the refined logits do not
-    depend on ``loss_every``.
+    every :data:`LOSS_EVERY`-th step and the last step.
     """
-    require(isinstance(loss_every, numbers.Integral) and loss_every >= 1,
-            f"loss_every must be an integer >= 1, got {loss_every!r}")
     z0 = case.logits0.data
     if hypothesis == "compact":
         weights = weights if weights is not None else losses.CompactWeights()
@@ -164,7 +162,7 @@ def refine(
     curve, sampled = [value], [0]
     for step in range(1, protocol.steps + 1):
         state, z = adam_step(state, z, grad)
-        sample = step % loss_every == 0 or step == protocol.steps
+        sample = step % LOSS_EVERY == 0 or step == protocol.steps
         value, grad = objective(z, value=sample)
         if sample:
             curve.append(value)

@@ -165,7 +165,7 @@ def run_cohort(
         try:
             return run_case(case, cfg)
         except optim.NumericalFailure as exc:
-            # run_case's failures carry its verdict; gate only a bare one
+            # a bare NumericalFailure comes only from a substituted run_case
             if isinstance(exc, CaseFailure):
                 verdict = exc.verdict
             else:

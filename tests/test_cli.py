@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 import subprocess
@@ -82,14 +81,13 @@ class TestRunCommand:
             outs.append((mask_out.read_bytes(), report_out.read_bytes()))
         assert outs[0] == outs[1]
 
-    def test_report_does_not_depend_on_loss_every(self, tmp_path, monkeypatch):
+    def test_report_does_not_depend_on_loss_sampling(self, tmp_path, monkeypatch):
         # the loss curve is sampled every 50th step by default; the report
         # keeps its first and last value, which every sampling includes
         paths = write_phantom_files(tmp_path, scenario="fragmented_small", seed=4)
-        refine = optim.refine
         outs = []
         for loss_every in (50, 1, 7):
-            monkeypatch.setattr(optim, "refine", functools.partial(refine, loss_every=loss_every))
+            monkeypatch.setattr(optim, "LOSS_EVERY", loss_every)
             mask_out = tmp_path / f"mask_{loss_every}.vol"
             report_out = tmp_path / f"report_{loss_every}.json"
             code = main([

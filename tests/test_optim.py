@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from segtta import losses, phantom
+from segtta import losses, optim, phantom
 from segtta.optim import AdamState, NumericalFailure, OptimizerProtocol, adam_step, refine
 from segtta.volume import Case, Volume, sigmoid, threshold
 
@@ -91,9 +91,9 @@ class TestRefine:
         assert len(trace.loss_values) == 1
         assert np.array_equal(trace.final_z.data, case.logits0.data)
 
-    def test_trace_length_and_finiteness(self):
-        case = small_case()
-        trace = refine(case, "diffuse", protocol=OptimizerProtocol(steps=25), loss_every=1)
+    def test_trace_length_and_finiteness(self, monkeypatch):
+        monkeypatch.setattr(optim, "LOSS_EVERY", 1)
+        trace = refine(small_case(), "diffuse", protocol=OptimizerProtocol(steps=25))
         assert len(trace.loss_values) == 26
         assert np.isfinite(trace.loss_values).all()
 
@@ -105,9 +105,9 @@ class TestRefine:
         (7, 3, (0, 3, 6, 7)),
         (4, 1, (0, 1, 2, 3, 4)),
     ])
-    def test_loss_steps_are_sampled(self, steps, loss_every, expected):
-        trace = refine(small_case(), "compact", protocol=OptimizerProtocol(steps=steps),
-                       loss_every=loss_every)
+    def test_loss_steps_are_sampled(self, monkeypatch, steps, loss_every, expected):
+        monkeypatch.setattr(optim, "LOSS_EVERY", loss_every)
+        trace = refine(small_case(), "compact", protocol=OptimizerProtocol(steps=steps))
         assert trace.loss_steps == expected
         assert len(trace.loss_values) == len(expected)
         assert trace.steps == steps
@@ -117,20 +117,15 @@ class TestRefine:
         assert trace.loss_steps == (0, 50, 100, 130)
 
     @pytest.mark.parametrize("hypothesis", ["compact", "diffuse"])
-    def test_sampled_values_equal_the_full_curve(self, hypothesis):
+    def test_sampled_values_equal_the_full_curve(self, monkeypatch, hypothesis):
         case = small_case(seed=4)
         proto = OptimizerProtocol(steps=120)
         sampled = refine(case, hypothesis, protocol=proto)
-        full = refine(case, hypothesis, protocol=proto, loss_every=1)
+        monkeypatch.setattr(optim, "LOSS_EVERY", 1)
+        full = refine(case, hypothesis, protocol=proto)
         assert full.loss_steps == tuple(range(121))
         assert sampled.loss_values == tuple(full.loss_values[s] for s in sampled.loss_steps)
         assert sampled.final_z.data.tobytes() == full.final_z.data.tobytes()
-
-    @pytest.mark.parametrize("loss_every", [0, -1, 2.5, "3", None])
-    def test_invalid_loss_every(self, loss_every):
-        with pytest.raises(ValueError, match="loss_every"):
-            refine(small_case(), "compact", protocol=OptimizerProtocol(steps=3),
-                   loss_every=loss_every)
 
     def test_determinism(self):
         case = small_case(seed=9)
