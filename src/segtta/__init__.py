@@ -30,7 +30,7 @@ from .metrics import (
 )
 from .optim import AdamState, NumericalFailure, OptimizerProtocol, RefinementTrace, adam_step, refine
 from .phantom import GeneratedPhantom, PhantomAnnotations, PhantomSpec, cohort, generate, scenario_spec
-from .pipeline import MODES, PipelineConfig, RunReport, run_case, run_cohort
+from .pipeline import MODES, PipelineConfig, RunReport, run_case, run_cohort, run_modes
 from .selector import SelectionResult, SelectorConfig, expansion_region, select, texture_score
 from .volume import (
     Case,

@@ -166,26 +166,24 @@ def _cmd_ablate(args) -> int:
     generated = phantom.cohort(specs)
     cases = [g.case for g in generated]
     gts = [g.gt for g in generated]
-    protocol = optim.OptimizerProtocol(lr=args.lr, steps=args.steps)
-    per_mode, table = {}, {}
-    for mode in pipeline.MODES:
-        cfg = pipeline.PipelineConfig(mode=mode, protocol=protocol)
-        reports = pipeline.run_cohort(cases, cfg, workers=args.threads)
-        sets = per_mode[mode] = [metrics.evaluate(r.final_mask, g) for r, g in zip(reports, gts)]
-        table[mode] = metrics.aggregate(sets)
-        if args.csv and mode == "full":
-            rows = [
-                {
-                    "case_id": r.case_id,
-                    "dice": m.dice,
-                    "hd95_mm": m.hd95_mm,
-                    "precision": m.precision,
-                    "flagged": r.gate.flagged,
-                    "source": r.mask_source,
-                }
-                for r, m in zip(reports, sets)
-            ]
-            Path(args.csv).write_text(metrics.case_rows_csv(rows))
+    cfg = pipeline.PipelineConfig(protocol=optim.OptimizerProtocol(lr=args.lr, steps=args.steps))
+    runs = pipeline.run_modes(cases, pipeline.MODES, cfg, workers=args.threads)
+    per_mode = {mode: [metrics.evaluate(r.final_mask, g) for r, g in zip(reports, gts)]
+                for mode, reports in runs.items()}
+    table = {mode: metrics.aggregate(sets) for mode, sets in per_mode.items()}
+    if args.csv:
+        rows = [
+            {
+                "case_id": r.case_id,
+                "dice": m.dice,
+                "hd95_mm": m.hd95_mm,
+                "precision": m.precision,
+                "flagged": r.gate.flagged,
+                "source": r.mask_source,
+            }
+            for r, m in zip(runs["full"], per_mode["full"])
+        ]
+        Path(args.csv).write_text(metrics.case_rows_csv(rows))
     header = f"{'mode':<16} {'dice':>18} {'hd95_mm':>18} {'precision':>18}"
     print(header)
     for mode, st in table.items():

@@ -173,10 +173,16 @@ def spec_to_json(spec) -> str:
 
 def spec_from_json(text: str, spec_cls):
     data = json.loads(text)
-    field_names = {f.name for f in dataclasses.fields(spec_cls)}
-    unknown = set(data) - field_names
+    if not isinstance(data, dict):
+        raise ValueError(f"spec must be a JSON object, found {type(data).__name__}")
+    fields = dataclasses.fields(spec_cls)
+    unknown = set(data) - {f.name for f in fields}
     if unknown:
         raise ValueError(f"unknown spec fields: {sorted(unknown)}")
+    missing = [f.name for f in fields if f.name not in data
+               and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ValueError(f"missing spec fields: {missing}")
     return spec_cls(**{key: _tuples(value) for key, value in data.items()})
 
 

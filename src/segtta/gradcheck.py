@@ -17,7 +17,7 @@ from scipy.special import expit
 
 from . import losses
 from .phantom import standard_normals
-from .volume import Volume, along
+from .volume import Volume, along, require
 
 FD_STEP = 1e-5
 KINK_CUTOFF = 1e-4
@@ -122,6 +122,7 @@ ALL_TERMS = ("entropy", "tv", "gravity", "geodesic", "inflation", "anchor", "com
 def check_all(seed: int = 0, volumes: int = 20, dims=(4, 4, 4),
               terms: Sequence[str] = ALL_TERMS) -> dict[str, GradCheckResult]:
     """Worst relative error per term over ``volumes`` independent random volumes."""
+    require(volumes >= 1, f"volumes must be >= 1, got {volumes!r}")
     out: dict[str, GradCheckResult] = {}
     for term in terms:
         max_err = 0.0

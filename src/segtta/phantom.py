@@ -46,7 +46,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .volume import Case, Mask, Spacing, Volume, axis_coords
+from .volume import Case, Mask, Spacing, Volume, axis_coords, require
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -131,6 +131,10 @@ class PhantomSpec:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
+        for name in ("seed", "channels"):
+            value = getattr(self, name)
+            require(isinstance(value, int) and not isinstance(value, bool),
+                    f"{name} must be an integer, got {value!r}")
 
     @property
     def center(self) -> tuple[float, float, float]:

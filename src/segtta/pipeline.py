@@ -1,18 +1,20 @@
 """Orchestration: gate -> hypothesis refinement -> selection -> final mask.
 
-Each ablation row is one entry of :data:`MODE_TABLE`, and :func:`run_case`
-takes one path for all of them.  A gated mode returns the baseline
-binarization untouched for an unflagged case; otherwise the mode's
-hypotheses are refined, and the texture selector picks between them when
-both ran.  ``no_gatekeeper`` still records the gate verdict, and
-``no_edge_map`` gives the diffuse loss g identically 1.
+Each ablation row is one entry of :data:`MODE_TABLE`, and :func:`run_modes`
+is the one path for all of them: it gates each case once, refines each
+distinct hypothesis once on one thread pool, and builds every mode's report
+from those results.  A gated mode returns the baseline binarization untouched
+for an unflagged case; otherwise the mode's hypotheses are refined, and the
+texture selector picks between them when both ran.  ``no_gatekeeper`` still
+records the gate verdict, and ``no_edge_map`` gives the diffuse loss g
+identically 1.  :func:`run_case` and :func:`run_cohort` are its one-mode views.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -24,7 +26,7 @@ from .volume import Case, Mask, Volume, sigmoid, threshold
 
 
 class Mode(NamedTuple):
-    """One ablation row: what :func:`run_case` does to a case in that mode."""
+    """One ablation row: what :func:`run_modes` does to a case in that mode."""
 
     gated: bool                      # unflagged cases keep the baseline mask
     hypotheses: tuple[str, ...]      # refined otherwise, in this order
@@ -50,20 +52,11 @@ class PipelineConfig:
     protocol: optim.OptimizerProtocol = field(default_factory=optim.OptimizerProtocol)
     selector: SelectorConfig = field(default_factory=SelectorConfig)
     edge: losses.EdgeMapConfig = field(default_factory=losses.EdgeMapConfig)
-    parallel_hypotheses: bool = True  # run the two refinements concurrently
+    parallel_hypotheses: bool = True  # a pool thread per hypothesis per worker
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-
-
-class CaseFailure(optim.NumericalFailure):
-    """A refinement in :func:`run_case` failed numerically; carries the gate
-    verdict computed before it, for the cohort's error report."""
-
-    def __init__(self, message: str, verdict: GateVerdict):
-        super().__init__(message)
-        self.verdict = verdict
 
 
 @dataclass(frozen=True)
@@ -94,54 +87,93 @@ class RunReport:
     config: PipelineConfig | None = None
 
 
-def run_case(case: Case, cfg: PipelineConfig = PipelineConfig()) -> RunReport:
-    """Apply the decision pipeline to one case: gate, refine the hypotheses
-    the mode's row of :data:`MODE_TABLE` names (none when the gate applies and
-    does not flag the case), and select when both ran."""
-    row = MODE_TABLE[cfg.mode]
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    p0 = sigmoid(case.logits0)
-    verdict = gate(p0, cfg.gate)
-    timings["gate_s"] = time.perf_counter() - t0
+def run_modes(
+    cases: Sequence[Case],
+    modes: Sequence[str],
+    cfg: PipelineConfig = PipelineConfig(),
+    workers: int = 1,
+) -> dict[str, list[RunReport]]:
+    """Every case under every mode in ``modes`` (``cfg.mode`` is ignored),
+    with each report in case order.  Each case is gated once, and each
+    distinct refinement (case, hypothesis, whether diffuse sees the edge map)
+    runs once, on one pool of ``workers`` threads, times the most hypotheses
+    a mode refines when ``cfg.parallel_hypotheses`` is set.  A refinement
+    that fails numerically gives its case an error report in every mode that
+    needed it, and the run continues; any other exception propagates."""
+    if len(cases) < 1:
+        raise ValueError("cohort needs at least one case")
+    cfgs = {mode: replace(cfg, mode=mode) for mode in modes}
 
-    def refine(hypothesis: str) -> optim.RefinementTrace:
-        t1 = time.perf_counter()
+    def keys(mode: str, verdict: GateVerdict) -> list[tuple[str, bool]]:
+        row = MODE_TABLE[mode]
+        if row.gated and not verdict.flagged:
+            return []
+        return [(h, h == "compact" or row.edge_map) for h in row.hypotheses]
+
+    gates, plan = [], []
+    for case in cases:
+        t0 = time.perf_counter()
+        p0 = sigmoid(case.logits0)
+        verdict = gate(p0, cfg.gate)
+        gate_s = time.perf_counter() - t0
+        gates.append((verdict, gate_s, None if verdict.flagged else threshold(p0, 0.5)))
+        plan.append(list(dict.fromkeys(k for mode in cfgs for k in keys(mode, verdict))))
+
+    def refine(job) -> tuple[optim.RefinementTrace, float] | str:
+        case, (hypothesis, edge_map) = job
+        t0 = time.perf_counter()
         if hypothesis == "compact":
             kwargs = dict(weights=cfg.compact)
         else:
-            g_override = None if row.edge_map else Volume(np.ones(case.dims), case.spacing)
+            g_override = None if edge_map else Volume(np.ones(case.dims), case.spacing)
             kwargs = dict(weights=cfg.diffuse, edge_cfg=cfg.edge, g_override=g_override)
         try:
             trace = optim.refine(case, hypothesis, protocol=cfg.protocol, **kwargs)
         except optim.NumericalFailure as exc:
-            raise CaseFailure(f"case {case.case_id!r}, hypothesis {hypothesis}: {exc}",
-                              verdict) from exc
-        timings[f"{hypothesis}_s"] = time.perf_counter() - t1
-        return trace
+            return f"case {case.case_id!r}, hypothesis {hypothesis}: {exc}"
+        return trace, time.perf_counter() - t0
 
-    hypotheses = row.hypotheses if verdict.flagged or not row.gated else ()
-    # the refinements share only immutable inputs, so one worker or two give
-    # identical traces
-    with ThreadPoolExecutor(max_workers=2 if cfg.parallel_hypotheses else 1) as pool:
-        traces = dict(zip(hypotheses, pool.map(refine, hypotheses)))
+    reports: dict[str, list[RunReport]] = {mode: [] for mode in cfgs}
+    # per worker, one thread per hypothesis a case runs (in the one-hypothesis
+    # modes a second one only oversubscribes the cores).  Refinements share
+    # only immutable inputs, so any thread count gives identical traces;
+    # results come back case-major, and each case's traces are dropped once
+    # its reports are built
+    per_worker = max((len(MODE_TABLE[m].hypotheses) for m in cfgs), default=1)
+    threads = max(workers, 1) * (per_worker if cfg.parallel_hypotheses else 1)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = pool.map(refine, [(case, k) for case, ks in zip(cases, plan) for k in ks])
+        for case, (verdict, gate_s, baseline), ks in zip(cases, gates, plan):
+            done = {k: next(results) for k in ks}
+            for mode, c in cfgs.items():
+                runs = {h: done[h, e] for h, e in keys(mode, verdict)}
+                reports[mode].append(_report(case, c, verdict, gate_s, baseline, runs))
+    return reports
 
+
+def _report(case, cfg, verdict, gate_s, baseline, runs) -> RunReport:
+    """One mode's report from the case's shared gate verdict and refinements,
+    selecting only when both hypotheses ran."""
+    failure = next((r for r in runs.values() if isinstance(r, str)), None)
+    if failure is not None:
+        return RunReport(case_id=case.case_id, mode=cfg.mode, gate=verdict, mask_source="baseline",
+                         final_mask=None, error=f"{case.case_id}: {failure}", config=cfg)
+    timings = {"gate_s": gate_s} | {f"{h}_s": seconds for h, (_, seconds) in runs.items()}
+    traces = {h: trace for h, (trace, _) in runs.items()}
     source, selection = next(iter(traces), "baseline"), None
     if len(traces) == 2:
-        t1 = time.perf_counter()
+        t0 = time.perf_counter()
         selection = select(case, traces["compact"].final_z, traces["diffuse"].final_z, cfg.selector)
-        timings["select_s"] = time.perf_counter() - t1
+        timings["select_s"] = time.perf_counter() - t0
         source = selection.chosen
-    final_p = sigmoid(traces[source].final_z) if traces else p0
     summaries = {h: TraceSummary.of(t) for h, t in traces.items()}
-
-    timings["total_s"] = time.perf_counter() - t0
+    timings["total_s"] = sum(timings.values())  # a shared stage counts in every report
     return RunReport(
         case_id=case.case_id,
         mode=cfg.mode,
         gate=verdict,
         mask_source=source,
-        final_mask=threshold(final_p, 0.5),
+        final_mask=threshold(sigmoid(traces[source].final_z), 0.5) if traces else baseline,
         compact_trace=summaries.get("compact"),
         diffuse_trace=summaries.get("diffuse"),
         selection=selection,
@@ -150,35 +182,19 @@ def run_case(case: Case, cfg: PipelineConfig = PipelineConfig()) -> RunReport:
     )
 
 
+def run_case(case: Case, cfg: PipelineConfig = PipelineConfig()) -> RunReport:
+    """One case in ``cfg.mode``; raises :class:`optim.NumericalFailure` when
+    a refinement fails numerically."""
+    report = run_modes([case], [cfg.mode], cfg)[cfg.mode][0]
+    if report.error is not None:
+        raise optim.NumericalFailure(report.error.removeprefix(f"{case.case_id}: "))
+    return report
+
+
 def run_cohort(
     cases: Sequence[Case],
     cfg: PipelineConfig = PipelineConfig(),
     workers: int = 1,
 ) -> list[RunReport]:
-    """Order-preserving run over a cohort; a case whose refinement fails
-    numerically is recorded in its report's ``error`` field and the cohort
-    continues.  Any other exception propagates."""
-    if len(cases) < 1:
-        raise ValueError("cohort needs at least one case")
-
-    def one(case: Case) -> RunReport:
-        try:
-            return run_case(case, cfg)
-        except optim.NumericalFailure as exc:
-            # a bare NumericalFailure comes only from a substituted run_case
-            if isinstance(exc, CaseFailure):
-                verdict = exc.verdict
-            else:
-                verdict = gate(sigmoid(case.logits0), cfg.gate)
-            return RunReport(
-                case_id=case.case_id,
-                mode=cfg.mode,
-                gate=verdict,
-                mask_source="baseline",
-                final_mask=None,
-                error=f"{case.case_id}: {exc}",
-                config=cfg,
-            )
-
-    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
-        return list(pool.map(one, cases))
+    """``cfg.mode`` over a cohort, in case order; see :func:`run_modes`."""
+    return run_modes(cases, [cfg.mode], cfg, workers)[cfg.mode]

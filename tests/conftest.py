@@ -24,24 +24,30 @@ def mixed_cohort():
     return phantom.cohort(specs)
 
 
-def _run(cohort, mode):
+def _run(cohort, *modes):
     cases = [g.case for g in cohort]
-    return pipeline.run_cohort(cases, pipeline.PipelineConfig(mode=mode))
+    return pipeline.run_modes(cases, modes)
 
 
 @pytest.fixture(scope="session")
-def mixed_full_reports(mixed_cohort):
-    return _run(mixed_cohort, "full")
+def mixed_reports(mixed_cohort):
+    # one call, so only_compact and only_diffuse reuse full's refinements
+    return _run(mixed_cohort, "full", "only_compact", "only_diffuse")
 
 
 @pytest.fixture(scope="session")
-def mixed_only_diffuse_reports(mixed_cohort):
-    return _run(mixed_cohort, "only_diffuse")
+def mixed_full_reports(mixed_reports):
+    return mixed_reports["full"]
 
 
 @pytest.fixture(scope="session")
-def mixed_only_compact_reports(mixed_cohort):
-    return _run(mixed_cohort, "only_compact")
+def mixed_only_diffuse_reports(mixed_reports):
+    return mixed_reports["only_diffuse"]
+
+
+@pytest.fixture(scope="session")
+def mixed_only_compact_reports(mixed_reports):
+    return mixed_reports["only_compact"]
 
 
 @pytest.fixture(scope="session")
@@ -51,10 +57,15 @@ def clean_cohort():
 
 
 @pytest.fixture(scope="session")
-def clean_full_reports(clean_cohort):
-    return _run(clean_cohort, "full")
+def clean_reports(clean_cohort):
+    return _run(clean_cohort, "full", "no_gatekeeper")
 
 
 @pytest.fixture(scope="session")
-def clean_no_gatekeeper_reports(clean_cohort):
-    return _run(clean_cohort, "no_gatekeeper")
+def clean_full_reports(clean_reports):
+    return clean_reports["full"]
+
+
+@pytest.fixture(scope="session")
+def clean_no_gatekeeper_reports(clean_reports):
+    return clean_reports["no_gatekeeper"]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import segtta
-from segtta import fileio, optim, phantom
+from segtta import fileio, optim, phantom, pipeline
 from segtta.cli import main
 from segtta.volume import Mask
 
@@ -107,6 +107,23 @@ class TestRunCommand:
         assert code == 1
         assert flag.lstrip("-") in capsys.readouterr().err
 
+    def test_numerical_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        paths = write_phantom_files(tmp_path, scenario="noise_island", seed=1)
+
+        def failing(case, hypothesis, **kwargs):
+            raise optim.NumericalFailure("non-finite gradient at step 7")
+
+        monkeypatch.setattr(optim, "refine", failing)
+        code = main(["run", "--image", paths["image"][0], "--logits", paths["logits"],
+                     "--steps", "5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:")
+        assert "case 'logits', hypothesis compact" in err and "step 7" in err
+        case = phantom.generate(phantom.scenario_spec("noise_island", 1)).case
+        with pytest.raises(optim.NumericalFailure, match="hypothesis compact"):
+            pipeline.run_case(case)
+
     def test_missing_input_exits_1(self, tmp_path, capsys):
         code = main(["run", "--image", str(tmp_path / "nope.vol"),
                      "--logits", str(tmp_path / "nope2.vol")])
@@ -175,6 +192,19 @@ class TestOtherCommands:
         direct = phantom.generate(spec)
         assert np.array_equal(logits.data, direct.case.logits0.data)
 
+    @pytest.mark.parametrize("edit", [
+        lambda spec: [],
+        lambda spec: {"seed": 1},
+        lambda spec: dict(spec, seed="x"),
+        lambda spec: dict(spec, channels="2"),
+    ], ids=["list", "missing-scenario", "string-seed", "string-channels"])
+    def test_bad_spec_exits_1(self, tmp_path, capsys, edit):
+        spec = json.loads(fileio.spec_to_json(phantom.scenario_spec("fragmented_small", seed=9)))
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(edit(spec)))
+        assert main(["phantom", "--spec", str(spec_path), "--out", str(tmp_path / "case")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_gradcheck_passes(self, capsys):
         assert main(["gradcheck", "--seed", "0", "--volumes", "2"]) == 0
         out = capsys.readouterr().out
@@ -189,6 +219,29 @@ class TestOtherCommands:
         for term in ("entropy", "tv", "gravity", "geodesic", "inflation", "anchor",
                      "compact", "diffuse"):
             assert f"{term:<10} max rel err" in out and "(checked 300, excluded" in out
+
+    @pytest.mark.parametrize("volumes", ["0", "-2"])
+    def test_gradcheck_without_volumes_exits_1(self, capsys, volumes):
+        assert main(["gradcheck", "--volumes", volumes]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "volumes" in err
+
+    def test_ablate_gates_and_refines_each_case_once(self, capsys, monkeypatch):
+        # the flagged case needs compact, diffuse and diffuse with g == 1 over
+        # the five modes; the clean one compact and diffuse (no_gatekeeper)
+        calls = {"refine": 0, "gate": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(optim, "refine", counting("refine", optim.refine))
+        monkeypatch.setattr(pipeline, "gate", counting("gate", pipeline.gate))
+        assert main(["ablate", "--mix", "clean_confident=1,under_segmented_matched=1",
+                     "--steps", "5"]) == 0
+        assert calls == {"refine": 5, "gate": 2}
 
     def test_ablate_prints_table(self, tmp_path, capsys):
         json_out = tmp_path / "table.json"

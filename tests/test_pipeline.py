@@ -7,7 +7,7 @@ from segtta import fileio, phantom
 from segtta.gatekeeper import GateThresholds, gate
 from segtta.losses import CompactWeights, DiffuseWeights, EdgeMapConfig
 from segtta.optim import OptimizerProtocol
-from segtta.pipeline import MODES, PipelineConfig, run_case, run_cohort
+from segtta.pipeline import MODES, PipelineConfig, run_case, run_cohort, run_modes
 from segtta.selector import SelectorConfig
 from segtta.volume import Case, Volume, sigmoid, threshold
 
@@ -131,31 +131,24 @@ class TestRunCohort:
         for a, b in zip(serial, threaded):
             assert np.array_equal(a.final_mask.data, b.final_mask.data)
 
-    def test_per_case_errors_recorded_and_cohort_continues(self, clean):
+    def test_per_case_errors_recorded_and_cohort_continues(self, clean, monkeypatch):
         ok_case = clean.case
         bad = Case(
             image=(Volume(np.zeros((4, 4, 4)), (1, 1, 1)),),
             logits0=Volume(np.full((4, 4, 4), 0.6), (1, 1, 1)),
             case_id="bad",
         )
-        # sabotage: a config whose gate thresholds force refinement with an
-        # absurd learning rate does not produce NaNs with these losses, so
-        # instead drive the error path via a monkeypatched failure
         import segtta.pipeline as pl
 
-        original = pl.run_case
+        original = pl.optim.refine
 
-        def exploding(case, cfg):
+        def exploding(case, hypothesis, **kwargs):
             if case.case_id == "bad":
                 raise pl.optim.NumericalFailure("boom at step 3")
-            return original(case, cfg)
+            return original(case, hypothesis, **kwargs)
 
-        pl_run_case = pl.run_case
-        try:
-            pl.run_case = exploding
-            reports = pl.run_cohort([ok_case, bad], quick_cfg())
-        finally:
-            pl.run_case = pl_run_case
+        monkeypatch.setattr(pl.optim, "refine", exploding)
+        reports = pl.run_cohort([ok_case, bad], quick_cfg())
         assert reports[0].error is None
         assert reports[1].error is not None and "boom" in reports[1].error
         assert reports[1].final_mask is None
@@ -184,19 +177,64 @@ class TestRunCohort:
             assert report.gate == gate(sigmoid(case.logits0), GateThresholds())
         assert reports[0].gate.flagged and not reports[1].gate.flagged
 
-    def test_programming_errors_propagate(self, clean, monkeypatch):
+    def test_programming_errors_propagate(self, island, monkeypatch):
         import segtta.pipeline as pl
 
-        def broken(case, cfg):
+        def broken(case, hypothesis, **kwargs):
             raise TypeError("bad operand")
 
-        monkeypatch.setattr(pl, "run_case", broken)
+        monkeypatch.setattr(pl.optim, "refine", broken)
         with pytest.raises(TypeError, match="bad operand"):
-            pl.run_cohort([clean.case], quick_cfg())
+            pl.run_cohort([island.case], quick_cfg())
 
     def test_empty_cohort_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             run_cohort([], quick_cfg())
+
+
+class TestRunModes:
+    def test_matches_separate_run_cohort_calls(self, clean, island):
+        cases = [island.case, clean.case]
+        cfg = PipelineConfig(protocol=OptimizerProtocol(steps=40))
+        together = run_modes(cases, MODES, cfg)
+        assert list(together) == list(MODES)
+        for mode in MODES:
+            apart = run_cohort(cases, dataclasses.replace(cfg, mode=mode))
+            for a, b in zip(together[mode], apart):
+                assert (fileio.dumps_report(a, include_timings=False)
+                        == fileio.dumps_report(b, include_timings=False))
+                assert a.final_mask.data.tobytes() == b.final_mask.data.tobytes()
+
+    def test_failed_job_errors_only_the_modes_that_need_it(self, clean, island, monkeypatch):
+        import segtta.pipeline as pl
+
+        cases = [island.case, clean.case]
+        intact = run_modes(cases, ("only_compact", "no_edge_map"), quick_cfg())
+        original = pl.optim.refine
+
+        def failing(case, hypothesis, **kwargs):
+            if hypothesis == "diffuse" and kwargs["g_override"] is None:
+                raise pl.optim.NumericalFailure("non-finite gradient at step 5")
+            return original(case, hypothesis, **kwargs)
+
+        monkeypatch.setattr(pl.optim, "refine", failing)
+        reports = run_modes(cases, MODES, quick_cfg(), workers=2)
+        cid = island.case.case_id
+        for mode in ("full", "no_gatekeeper", "only_diffuse"):
+            assert reports[mode][0].error == (
+                f"{cid}: case {cid!r}, hypothesis diffuse: non-finite gradient at step 5")
+            assert reports[mode][0].final_mask is None
+        for mode in ("only_compact", "no_edge_map"):
+            assert reports[mode][0].error is None
+            assert (fileio.dumps_report(reports[mode][0], include_timings=False)
+                    == fileio.dumps_report(intact[mode][0], include_timings=False))
+        # the unflagged case refines only where the gate is off
+        assert reports["no_gatekeeper"][1].error is not None
+        assert all(reports[mode][1].error is None for mode in MODES if mode != "no_gatekeeper")
+
+    def test_unknown_mode_rejected(self, clean):
+        with pytest.raises(ValueError, match="mode"):
+            run_modes([clean.case], ["full", "everything"], quick_cfg())
 
 
 BAD_CONFIGS = [
