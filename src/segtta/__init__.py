@@ -38,8 +38,6 @@ from .volume import (
     Mask,
     MaskStats,
     Volume,
-    forward_diff,
-    logit,
     mask_stats,
     sigmoid,
     threshold,

@@ -28,7 +28,7 @@ import numpy as np
 from .volume import Mask, Volume
 
 if TYPE_CHECKING:
-    from .pipeline import PipelineConfig, RunReport
+    from .pipeline import RunReport
 
 MAGIC = b"HDTV"
 VERSION = 1
@@ -128,10 +128,6 @@ def read_volume(path) -> Volume | Mask:
 # ---------------------------------------------------------------------------
 
 
-def config_to_dict(cfg: PipelineConfig) -> dict[str, Any]:
-    return dataclasses.asdict(cfg)
-
-
 def report_to_dict(report: RunReport, include_timings: bool = True) -> dict[str, Any]:
     """JSON-shaped report: full decision trace, full effective config, scalars
     at full precision.  The mask payload lives in its own volume file; only
@@ -147,7 +143,7 @@ def report_to_dict(report: RunReport, include_timings: bool = True) -> dict[str,
         "diffuse_trace": dataclasses.asdict(report.diffuse_trace) if report.diffuse_trace else None,
         "selection": dataclasses.asdict(report.selection) if report.selection else None,
         "error": report.error,
-        "config": config_to_dict(report.config) if report.config is not None else None,
+        "config": dataclasses.asdict(report.config) if report.config is not None else None,
     }
     out["timings_s"] = dict(report.timings_s) if include_timings else None
     return out
@@ -160,10 +156,6 @@ def dumps_report(report: RunReport | dict, include_timings: bool = True) -> str:
 
 def write_report(path, report: RunReport | dict, include_timings: bool = True) -> None:
     Path(path).write_text(dumps_report(report, include_timings))
-
-
-def read_report(path) -> dict:
-    return json.loads(Path(path).read_text())
 
 
 def spec_to_json(spec) -> str:

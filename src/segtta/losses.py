@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .volume import Spacing, Volume, along, axis_coords, require, require_same_grid
+from .volume import Spacing, Volume, along, axis_coords, require, require_same_grid, sigmoid_into
 
 # Charbonnier smoothing of |.| in the TV/geodesic terms and the mass guard in
 # the gravity weights.
@@ -116,13 +116,7 @@ class _Workspace:
 
     def load(self, z: np.ndarray, value: bool) -> None:
         self.z, self.value = z, value
-        # P = 1 / (1 + exp(-z)) with numpy's vectorized exp, a few ulp from
-        # scipy's expit at most; exp(-z) overflows to inf for z < -709,
-        # giving P = 0
-        with np.errstate(over="ignore"):
-            np.exp(np.negative(z, out=self.p), out=self.p)
-        self.p += 1.0
-        np.divide(1.0, self.p, out=self.p)
+        sigmoid_into(z, self.p)
         np.multiply(self.p, np.subtract(1.0, self.p, out=self.pq), out=self.pq)
         self.grad.fill(0.0)
 
@@ -213,7 +207,7 @@ def _tv(ws: _Workspace, lam: float) -> float:
     return value
 
 
-def _geodesic(ws: _Workspace, lam: float, faces: Sequence[np.ndarray]) -> float:
+def _geodesic(ws: _Workspace, lam: float, faces: Sequence[np.ndarray] | None) -> float:
     value = _charbonnier_faces(ws, faces)
     # (lam * grad_p) * pq: here the weight comes before the chain factor, in
     # tv after it; the order shows in the last bit
@@ -306,12 +300,14 @@ def compact_objective(z0: np.ndarray, spacing: Spacing, weights: CompactWeights)
     ])
 
 
-def diffuse_objective(z0: np.ndarray, g_map: np.ndarray, weights: DiffuseWeights) -> Objective:
+def diffuse_objective(z0: np.ndarray, g_map: np.ndarray | None, weights: DiffuseWeights) -> Objective:
     """The diffuse-recovery hypothesis (entropy + edge-gated boundary penalty
-    + inflation + anchor) as an :func:`objective`."""
+    + inflation + anchor) as an :func:`objective`; ``g_map=None`` is g
+    identically 1, bit-for-bit the all-ones map without its face grids."""
+    faces = None if g_map is None else _face_weights(g_map)
     return objective(z0, [
         (weights.lambda_ent, _entropy),
-        (weights.lambda_geo, partial(_geodesic, faces=_face_weights(g_map))),
+        (weights.lambda_geo, partial(_geodesic, faces=faces)),
         (weights.lambda_inf, _inflation),
         (weights.lambda_anc, _anchor),
     ])

@@ -132,15 +132,14 @@ def refine(
     hypothesis: HypothesisName,
     weights=None,
     protocol: OptimizerProtocol = OptimizerProtocol(),
-    edge_cfg: losses.EdgeMapConfig = losses.EdgeMapConfig(),
-    g_override: Volume | None = None,
+    edge_cfg: losses.EdgeMapConfig | None = losses.EdgeMapConfig(),
 ) -> RefinementTrace:
     """Run the named hypothesis loss from z = z0 for ``protocol.steps`` updates.
 
     For the diffuse hypothesis the edge map is computed once from the case
-    image before iteration (``g_override`` replaces it, e.g. an all-ones map
-    for the no-edge-map ablation).  The loss value is recorded at step 0,
-    every :data:`LOSS_EVERY`-th step and the last step.
+    image before iteration; ``edge_cfg=None`` gives g identically 1 instead,
+    the map of the no-edge-map ablation.  The loss value is recorded at
+    step 0, every :data:`LOSS_EVERY`-th step and the last step.
     """
     z0 = case.logits0.data
     if hypothesis == "compact":
@@ -148,11 +147,10 @@ def refine(
         objective = losses.compact_objective(z0, case.spacing, weights)
     elif hypothesis == "diffuse":
         weights = weights if weights is not None else losses.DiffuseWeights()
-        if g_override is not None:
-            g = g_override
-        else:
-            g = losses.edge_map(case.image, sigma_mm=edge_cfg.sigma_mm, alpha=edge_cfg.alpha)
-        objective = losses.diffuse_objective(z0, g.data, weights)
+        g = None
+        if edge_cfg is not None:
+            g = losses.edge_map(case.image, sigma_mm=edge_cfg.sigma_mm, alpha=edge_cfg.alpha).data
+        objective = losses.diffuse_objective(z0, g, weights)
     else:
         raise ValueError(f"unknown hypothesis {hypothesis!r}")
 

@@ -41,7 +41,9 @@ where v enumerates voxels in the canonical x-fastest order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -82,6 +84,23 @@ def standard_normals(seed: int, start_counter: int, count: int) -> np.ndarray:
     u1 = ((splitmix64(seed, base) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
     u2 = (splitmix64(seed, base + np.uint64(1)) >> np.uint64(11)).astype(np.float64) * 2.0**-53
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+# how PhantomSpec.__post_init__ checks its fields: each in _TUPLE_LENGTHS as a
+# tuple of that many finite reals, each in _OPTIONAL may also be None, those
+# in _CHECKED_APART have checks of their own, and every other one is one
+# finite real
+_TUPLE_LENGTHS = {"spacing": 3, "center_mm": 3, "radii_mm": 3, "shell_scales": 2, "island_offset_mm": 3}
+_OPTIONAL = ("center_mm", "background_confidence")
+_CHECKED_APART = ("scenario", "seed", "channels", "dims", "fragment_offsets_mm")
+
+
+def _real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _reals(t, n: int) -> bool:
+    return isinstance(t, tuple) and len(t) == n and all(map(_real, t))
 
 
 @dataclass(frozen=True)
@@ -135,6 +154,20 @@ class PhantomSpec:
             value = getattr(self, name)
             require(isinstance(value, int) and not isinstance(value, bool),
                     f"{name} must be an integer, got {value!r}")
+        require(isinstance(self.dims, tuple) and len(self.dims) == 3
+                and all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in self.dims),
+                f"dims must be three integers >= 1, got {self.dims!r}")
+        require(isinstance(self.fragment_offsets_mm, tuple)
+                and all(_reals(o, 3) for o in self.fragment_offsets_mm),
+                f"fragment_offsets_mm must be triples of finite numbers, got {self.fragment_offsets_mm!r}")
+        for f in fields(self):
+            name, value = f.name, getattr(self, f.name)
+            if name in _CHECKED_APART or (value is None and name in _OPTIONAL):
+                continue
+            n = _TUPLE_LENGTHS.get(name)
+            require(_real(value) if n is None else _reals(value, n),
+                    f"{name} must be {'a finite number' if n is None else f'{n} finite numbers'}, "
+                    f"got {value!r}")
 
     @property
     def center(self) -> tuple[float, float, float]:

@@ -17,12 +17,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from . import losses, optim
 from .gatekeeper import GateThresholds, GateVerdict, gate
 from .selector import SelectionResult, SelectorConfig, select
-from .volume import Case, Mask, Volume, sigmoid, threshold
+from .volume import Case, Mask, sigmoid, threshold
 
 
 class Mode(NamedTuple):
@@ -122,13 +120,10 @@ def run_modes(
     def refine(job) -> tuple[optim.RefinementTrace, float] | str:
         case, (hypothesis, edge_map) = job
         t0 = time.perf_counter()
-        if hypothesis == "compact":
-            kwargs = dict(weights=cfg.compact)
-        else:
-            g_override = None if edge_map else Volume(np.ones(case.dims), case.spacing)
-            kwargs = dict(weights=cfg.diffuse, edge_cfg=cfg.edge, g_override=g_override)
+        weights = cfg.compact if hypothesis == "compact" else cfg.diffuse
         try:
-            trace = optim.refine(case, hypothesis, protocol=cfg.protocol, **kwargs)
+            trace = optim.refine(case, hypothesis, weights=weights, protocol=cfg.protocol,
+                                 edge_cfg=cfg.edge if edge_map else None)
         except optim.NumericalFailure as exc:
             return f"case {case.case_id!r}, hypothesis {hypothesis}: {exc}"
         return trace, time.perf_counter() - t0

@@ -19,7 +19,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 Spacing = tuple[float, float, float]
 
@@ -154,30 +153,17 @@ class MaskStats(NamedTuple):
 
 
 def sigmoid(z: Volume) -> Volume:
-    """P = 1 / (1 + exp(-z)), numerically stable at large |z|."""
-    return z.with_data(expit(z.data))
+    """P = 1 / (1 + exp(-z)), exact 0 and 1 at large |z|."""
+    return z.with_data(sigmoid_into(z.data, np.empty(z.dims)))
 
 
-def logit(p: Volume) -> Volume:
-    """Inverse of :func:`sigmoid`; requires values strictly inside (0, 1)."""
-    arr = p.data
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise ValueError("logit requires values strictly inside (0, 1)")
-    return p.with_data(np.log(arr / (1.0 - arr)))
-
-
-def forward_diff(v: Volume, axis: int) -> Volume:
-    """out[i] = v[i+1] - v[i] along ``axis``; the final slab is zero."""
-    return v.with_data(forward_diff_array(v.data, axis))
-
-
-def forward_diff_array(arr: np.ndarray, axis: int) -> np.ndarray:
-    if axis not in (0, 1, 2):
-        raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
-    out = np.zeros_like(arr)
-    src, dst = along(axis, slice(1, None)), along(axis, slice(None, -1))
-    out[dst] = arr[src] - arr[dst]
-    return out
+def sigmoid_into(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """P = 1 / (1 + exp(-z)) written into ``out`` and returned; the library's
+    one sigmoid.  exp(-z) overflows to inf for z < -709, giving P = 0."""
+    with np.errstate(over="ignore"):
+        np.exp(np.negative(z, out=out), out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def along(axis: int, s: slice) -> tuple[slice, slice, slice]:

@@ -256,9 +256,7 @@ def shell_refinements():
     )
     case, gt, ann = phantom.generate(spec)
     with_edge = optim.refine(case, "diffuse")
-    no_edge = optim.refine(
-        case, "diffuse", g_override=Volume(np.ones(case.dims), case.spacing)
-    )
+    no_edge = optim.refine(case, "diffuse", edge_cfg=None)
     beyond, band = ann.beyond_shell.data, ann.leak_band.data
 
     def past_shell(trace):

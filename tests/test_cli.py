@@ -41,7 +41,7 @@ class TestRunCommand:
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["source"] == "baseline" and summary["flagged"] is False
-        report = fileio.read_report(report_out)
+        report = json.loads(report_out.read_text())
         assert report["mask_source"] == "baseline"
         assert isinstance(fileio.read_volume(mask_out), Mask)
 
@@ -197,7 +197,11 @@ class TestOtherCommands:
         lambda spec: {"seed": 1},
         lambda spec: dict(spec, seed="x"),
         lambda spec: dict(spec, channels="2"),
-    ], ids=["list", "missing-scenario", "string-seed", "string-channels"])
+        lambda spec: dict(spec, dims=[8.5, 8, 8]),
+        lambda spec: dict(spec, radii_mm="abc"),
+        lambda spec: dict(spec, tumor_std="0.1"),
+    ], ids=["list", "missing-scenario", "string-seed", "string-channels",
+            "fractional-dims", "string-radii", "string-std"])
     def test_bad_spec_exits_1(self, tmp_path, capsys, edit):
         spec = json.loads(fileio.spec_to_json(phantom.scenario_spec("fragmented_small", seed=9)))
         spec_path = tmp_path / "spec.json"
@@ -242,6 +246,21 @@ class TestOtherCommands:
         assert main(["ablate", "--mix", "clean_confident=1,under_segmented_matched=1",
                      "--steps", "5"]) == 0
         assert calls == {"refine": 5, "gate": 2}
+
+    def test_ablate_numerical_failure_exits_2(self, capsys, monkeypatch):
+        original = optim.refine
+
+        def failing(case, hypothesis, **kwargs):
+            if hypothesis == "diffuse":
+                raise optim.NumericalFailure("non-finite gradient at step 2")
+            return original(case, hypothesis, **kwargs)
+
+        monkeypatch.setattr(optim, "refine", failing)
+        assert main(["ablate", "--mix", "clean_confident=1,noise_island=1", "--steps", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("numerical failure: case 'noise_island-1', hypothesis diffuse: "
+                                "non-finite gradient at step 2\n")
 
     def test_ablate_prints_table(self, tmp_path, capsys):
         json_out = tmp_path / "table.json"

@@ -6,7 +6,7 @@ import pytest
 
 from segtta import losses
 from segtta.metrics import surface_voxels
-from segtta.volume import Mask, Volume, forward_diff
+from segtta.volume import Mask, Volume
 
 SPACING = (0.7, 1.3, 2.1)
 ODD_DIMS = [(1, 1, 1), (5, 1, 7), (2, 3, 1)]
@@ -59,12 +59,3 @@ class TestOddGrids:
         surface = surface_voxels(Mask(fg, SPACING))
         assert surface.shape == dims
         assert np.array_equal(surface, fg)
-
-    def test_forward_diff_matches_numpy(self, dims):
-        v = rand(7, dims)
-        for axis in range(3):
-            d = forward_diff(v, axis)
-            assert d.dims == dims and d.spacing == SPACING
-            final_slab = np.zeros_like(np.take(v.data, [0], axis=axis))
-            expected = np.concatenate([np.diff(v.data, axis=axis), final_slab], axis=axis)
-            assert np.array_equal(d.data, expected)

@@ -146,13 +146,15 @@ class TestRefine:
         trace = refine(case, "diffuse", weights=weights, protocol=OptimizerProtocol(steps=1))
         assert sigmoid(trace.final_z).data.mean() > 0.5
 
-    def test_g_override_matches_manual_edge_map(self):
+    def test_no_edge_cfg_is_an_all_ones_edge_map(self, monkeypatch):
         case = small_case(seed=2)
         proto = OptimizerProtocol(steps=15)
-        g = losses.edge_map(case.image)
-        via_override = refine(case, "diffuse", protocol=proto, g_override=g)
-        computed = refine(case, "diffuse", protocol=proto)
-        assert via_override.loss_values == computed.loss_values
+        unit = refine(case, "diffuse", protocol=proto, edge_cfg=None)
+        monkeypatch.setattr(losses, "edge_map",
+                            lambda image, **kw: Volume(np.ones(case.dims), case.spacing))
+        ones = refine(case, "diffuse", protocol=proto)
+        assert unit.final_z.data.tobytes() == ones.final_z.data.tobytes()
+        assert unit.loss_values == ones.loss_values
 
 
 @pytest.fixture(scope="module")

@@ -213,7 +213,7 @@ class TestRunModes:
         original = pl.optim.refine
 
         def failing(case, hypothesis, **kwargs):
-            if hypothesis == "diffuse" and kwargs["g_override"] is None:
+            if hypothesis == "diffuse" and kwargs["edge_cfg"] is not None:
                 raise pl.optim.NumericalFailure("non-finite gradient at step 5")
             return original(case, hypothesis, **kwargs)
 

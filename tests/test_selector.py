@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from segtta.selector import SelectorConfig, expansion_region, select, texture_score
-from segtta.volume import Case, EmptyRegionError, Mask, Volume, logit, threshold
+from segtta.volume import Case, EmptyRegionError, Mask, Volume, threshold
 
 SPACING = (1.0, 1.0, 1.0)
 DIMS = (10, 6, 6)

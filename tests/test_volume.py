@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,6 @@ from segtta.volume import (
     EmptyRegionError,
     Mask,
     Volume,
-    forward_diff,
-    logit,
     mask_stats,
     sigmoid,
     threshold,
@@ -78,37 +78,21 @@ class TestSigmoid:
     @settings(max_examples=50, deadline=None)
     def test_logit_round_trip(self, z):
         v = vol(np.full((2, 2, 2), z))
-        back = logit(sigmoid(v))
-        assert np.all(np.abs(back.data - z) <= 1e-9)
+        p = sigmoid(v).data
+        back = np.log(p / (1.0 - p))
+        assert np.all(np.abs(back - z) <= 1e-9)
+
+    def test_exact_at_overflow_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = sigmoid(line([-800.0, 800.0])).data.ravel()
+        assert p.tolist() == [0.0, 1.0]
 
     def test_monotone(self):
         zs = np.linspace(-30, 30, 100)
         p = sigmoid(line(zs)).data.ravel()
         assert np.all(np.diff(p) > 0)
         assert np.all((p > 0) & (p < 1))
-
-
-class TestForwardDiff:
-    def test_constant_is_zero(self):
-        v = vol(np.full((4, 3, 2), 2.5))
-        for axis in range(3):
-            assert np.all(forward_diff(v, axis).data == 0.0)
-
-    def test_unit_ramp(self):
-        d = forward_diff(line([0.0, 1.0, 2.0, 3.0]), 0)
-        assert np.array_equal(d.data.ravel(), [1.0, 1.0, 1.0, 0.0])
-
-    def test_hand_difference(self):
-        d = forward_diff(line([0.0, 5.0, 1.0]), 0)
-        assert np.array_equal(d.data.ravel(), [5.0, -4.0, 0.0])
-
-    def test_invalid_axis(self):
-        with pytest.raises(ValueError, match="axis"):
-            forward_diff(vol(np.zeros((2, 2, 2))), 3)
-
-    def test_singleton_axis(self):
-        v = vol(np.ones((1, 2, 2)))
-        assert np.all(forward_diff(v, 0).data == 0.0)
 
 
 class TestThreshold:
