@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -162,6 +163,8 @@ def _parse_mix(text: str) -> list[tuple[str, int]]:
 
 
 def _cmd_ablate(args) -> int:
+    if args.threads < 1:  # checked before the cohort is generated
+        raise CliInputError(f"threads must be >= 1, got {args.threads!r}")
     specs = phantom.mixed_cohort_specs(_parse_mix(args.mix), base_seed=args.seed)
     generated = phantom.cohort(specs)
     cases = [g.case for g in generated]
@@ -224,6 +227,8 @@ def _print_full_vs_ablations(per_mode) -> None:
 
 
 def _cmd_gradcheck(args) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0.0):
+        raise CliInputError(f"tolerance must be finite and > 0, got {args.tolerance!r}")
     results = gradcheck.check_all(seed=args.seed, volumes=args.volumes, dims=tuple(args.dims))
     worst = 0.0
     for term, res in results.items():

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import losses
 from .phantom import standard_normals
-from .volume import Volume, along, require, sigmoid
+from .volume import Volume, along, require, require_dims, sigmoid
 
 FD_STEP = 1e-5
 KINK_CUTOFF = 1e-4
@@ -119,6 +119,7 @@ def check_all(seed: int = 0, volumes: int = 20, dims=(4, 4, 4),
               terms: Sequence[str] = ALL_TERMS) -> dict[str, GradCheckResult]:
     """Worst relative error per term over ``volumes`` independent random volumes."""
     require(volumes >= 1, f"volumes must be >= 1, got {volumes!r}")
+    require_dims(dims)
     out: dict[str, GradCheckResult] = {}
     for term in terms:
         max_err = 0.0

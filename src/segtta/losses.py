@@ -164,12 +164,20 @@ def _charbonnier_faces(ws: _Workspace, face_w: Sequence[np.ndarray] | None) -> f
     # difference (replicate boundary: final slab is zero), averaged over N;
     # zero-difference entries contribute exactly zero.  The gradient with
     # respect to P is left in ws.a.
+    #
+    # The difference and its adjoint run on flat views of the C-ordered
+    # buffers, where a step along ``axis`` is a shift by s entries.  A shifted
+    # pair that wraps past the end of an axis lands in that axis's final slab,
+    # which is then zeroed; in the adjoint such an entry adds that +0.0, which
+    # leaves every gradient entry as it was (none is ever -0.0).  So each entry
+    # gets the same operations, in the same order, as with strided slices.
     p, grad, d, root = ws.p, ws.a, ws.b, ws.c
+    pf, gf, df = p.ravel(), grad.ravel(), d.ravel()
     value = 0.0
     grad.fill(0.0)
     for axis in range(3):
-        src, dst = along(axis, slice(1, None)), along(axis, slice(None, -1))
-        np.subtract(p[src], p[dst], out=d[dst])
+        s = math.prod(p.shape[axis + 1:])
+        np.subtract(pf[s:], pf[:-s], out=df[:-s])
         d[along(axis, slice(-1, None))] = 0.0
         np.multiply(d, d, out=root)
         root += TV_EPS * TV_EPS
@@ -183,7 +191,7 @@ def _charbonnier_faces(ws: _Workspace, face_w: Sequence[np.ndarray] | None) -> f
         if face_w is not None:
             d *= face_w[axis]
         grad -= d
-        grad[src] += d[dst]
+        gf[s:] += df[:-s]
     grad /= ws.n
     return value / ws.n if ws.value else None
 

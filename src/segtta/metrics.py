@@ -24,9 +24,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.stats import rankdata
 
-from .volume import Mask, along, require_same_grid
+from .volume import Mask, along, require, require_same_grid
 
 
 @dataclass(frozen=True)
@@ -172,7 +171,7 @@ def _wilcoxon_one_sided(diffs: Sequence[float], direction: str, method: str = "a
     n = d.size
     if n == 0:
         return 0.0, 1.0, 0, "degenerate"
-    ranks = rankdata(np.abs(d))  # average ranks on ties
+    ranks = _average_ranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     use_exact = method == "exact" or (method == "auto" and n <= 25)
     if use_exact:
@@ -188,6 +187,20 @@ def _wilcoxon_one_sided(diffs: Sequence[float], direction: str, method: str = "a
     zscore = (w_plus - mu - 0.5) / sigma
     p = 0.5 * math.erfc(zscore / math.sqrt(2.0))
     return w_plus, p, n, "normal"
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x`` in float64, tied values sharing the mean of their
+    ranks (``scipy.stats.rankdata``'s "average" method).  Each rank is a whole
+    or half integer, so the result is exact."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    # positions [start, end) of each tie group in sorted order
+    start = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    end = np.append(start[1:], x.size)
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((start + end + 1) / 2.0, end - start)
+    return ranks
 
 
 def _exact_tail_geq(ranks: np.ndarray, w_plus: float) -> float:
@@ -232,12 +245,15 @@ def wilcoxon_holm(
     ``directions[metric]`` is the alternative for those differences.  All-zero
     difference lists report p = 1 with the degenerate flag; fewer than
     ``min_nonzero`` nonzero differences (but more than zero) is a contract
-    violation and raises.
+    violation and raises, as does a NaN difference; an infinite one ranks
+    last.
     """
     names = list(per_case_diffs)
     raw: dict[str, tuple] = {}
     for name in names:
-        stat, p, n, used = _wilcoxon_one_sided(per_case_diffs[name], directions[name], method)
+        diffs = np.asarray(per_case_diffs[name], dtype=np.float64)
+        require(not np.isnan(diffs).any(), f"metric {name!r} has a NaN paired difference")
+        stat, p, n, used = _wilcoxon_one_sided(diffs, directions[name], method)
         if 0 < n < min_nonzero:
             raise ValueError(
                 f"metric {name!r} has only {n} nonzero paired differences; need >= {min_nonzero}"

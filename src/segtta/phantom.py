@@ -48,7 +48,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .volume import Case, Mask, Spacing, Volume, axis_coords, require
+from .volume import Case, Mask, Spacing, Volume, axis_coords, require, require_dims
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -154,9 +154,7 @@ class PhantomSpec:
             value = getattr(self, name)
             require(isinstance(value, int) and not isinstance(value, bool),
                     f"{name} must be an integer, got {value!r}")
-        require(isinstance(self.dims, tuple) and len(self.dims) == 3
-                and all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in self.dims),
-                f"dims must be three integers >= 1, got {self.dims!r}")
+        require_dims(self.dims)
         require(isinstance(self.fragment_offsets_mm, tuple)
                 and all(_reals(o, 3) for o in self.fragment_offsets_mm),
                 f"fragment_offsets_mm must be triples of finite numbers, got {self.fragment_offsets_mm!r}")

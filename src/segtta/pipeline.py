@@ -100,6 +100,8 @@ def run_modes(
     needed it, and the run continues; any other exception propagates."""
     if len(cases) < 1:
         raise ValueError("cohort needs at least one case")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
     cfgs = {mode: replace(cfg, mode=mode) for mode in modes}
 
     def keys(mode: str, verdict: GateVerdict) -> list[tuple[str, bool]]:
@@ -135,7 +137,7 @@ def run_modes(
     # results come back case-major, and each case's traces are dropped once
     # its reports are built
     per_worker = max((len(MODE_TABLE[m].hypotheses) for m in cfgs), default=1)
-    threads = max(workers, 1) * (per_worker if cfg.parallel_hypotheses else 1)
+    threads = workers * (per_worker if cfg.parallel_hypotheses else 1)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = pool.map(refine, [(case, k) for case, ks in zip(cases, plan) for k in ks])
         for case, (verdict, gate_s, baseline), ks in zip(cases, gates, plan):

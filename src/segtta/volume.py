@@ -113,6 +113,13 @@ def require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def require_dims(dims) -> None:
+    """Raise ValueError unless ``dims`` is a tuple of three ints >= 1 (not bool)."""
+    require(isinstance(dims, tuple) and len(dims) == 3
+            and all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in dims),
+            f"dims must be three integers >= 1, got {dims!r}")
+
+
 def require_same_grid(a, b, what: str = "operands") -> None:
     if not same_grid(a, b):
         raise ValueError(

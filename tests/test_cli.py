@@ -230,6 +230,26 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "volumes" in err
 
+    @pytest.mark.parametrize("flag,values,field", [
+        ("--tolerance", ["nan"], "tolerance"),
+        ("--tolerance", ["inf"], "tolerance"),
+        ("--tolerance", ["0"], "tolerance"),
+        ("--tolerance", ["-0.001"], "tolerance"),
+        ("--dims", ["-1", "4", "4"], "dims"),
+        ("--dims", ["4", "0", "4"], "dims"),
+    ], ids=["nan-tolerance", "inf-tolerance", "zero-tolerance", "negative-tolerance",
+            "negative-dims", "zero-dims"])
+    def test_gradcheck_bad_input_exits_1(self, capsys, flag, values, field):
+        assert main(["gradcheck", "--volumes", "1", flag, *values]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {field} must be") and "OK" not in captured.out
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_ablate_without_threads_exits_1(self, capsys, threads):
+        assert main(["ablate", "--mix", "clean_confident=1", "--steps", "2",
+                     "--threads", threads]) == 1
+        assert capsys.readouterr().err == f"error: threads must be >= 1, got {threads}\n"
+
     def test_ablate_gates_and_refines_each_case_once(self, capsys, monkeypatch):
         # the flagged case needs compact, diffuse and diffuse with g == 1 over
         # the five modes; the clean one compact and diffuse (no_gatekeeper)
@@ -308,3 +328,17 @@ class TestOtherCommands:
 
     def test_unknown_command_exits_1(self):
         assert main(["explode"]) == 1
+
+
+@pytest.mark.parametrize("module", ["segtta", "segtta.cli"])
+def test_import_leaves_out_scipy_stats(module):
+    # scipy.stats costs about as much start-up as the rest of the import
+    # together, and no code path needs it; a fresh process shows what
+    # importing the package loads
+    src_dir = str(Path(segtta.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=pythonpath),
+                         check=True, capture_output=True, text=True, timeout=120).stdout
+    assert out == "[]\n"

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata  # reference oracle for the numpy ranks
 
 from segtta import metrics
 from segtta.metrics import (
@@ -220,6 +223,24 @@ class TestWilcoxon:
         with pytest.raises(ValueError, match="nonzero"):
             wilcoxon_holm({"x": [1.0, -2.0, 0.0, 0.0, 3.0, 0, 0, 0]}, {"x": "greater"})
 
+    @pytest.mark.parametrize("where", [0, 5, 9])
+    def test_nan_difference_raises_naming_metric(self, where):
+        diffs = [float(x) for x in range(1, 11)]
+        diffs[where] = math.nan
+        with pytest.raises(ValueError, match="'hd95' has a NaN"):
+            wilcoxon_holm({"dice": list(range(1, 11)), "hd95": diffs},
+                          {"dice": "greater", "hd95": "less"})
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("method", ["exact", "normal"])
+    def test_infinite_difference_ranks_last(self, sign, method):
+        # |inf| takes the top rank, as the largest finite magnitude would
+        diffs = [1.0, -2.0, 3.0, 4.0, -5.0, 6.0, 7.0]
+        with_inf = wilcoxon_holm({"x": diffs + [sign * math.inf]}, {"x": "greater"}, method)["x"]
+        finite = wilcoxon_holm({"x": diffs + [sign * 100.0]}, {"x": "greater"}, method)["x"]
+        assert with_inf == finite
+        assert with_inf.statistic == (21.0 + 8.0 if sign > 0 else 21.0)  # ranks 1, 3, 4, 6, 7 (+ 8)
+
     def test_holm_two_hypotheses(self):
         assert holm_bonferroni([0.01, 0.04]) == [0.02, 0.04]
 
@@ -239,6 +260,19 @@ class TestWilcoxon:
         for r in res.values():
             assert r.p_adjusted >= r.p_raw
         assert max(r.p_adjusted for r in res.values()) <= 1.0
+
+
+class TestAverageRanks:
+    @given(st.one_of(
+        st.lists(st.integers(min_value=0, max_value=6).map(lambda k: 0.25 * k), max_size=40),
+        st.lists(st.floats(min_value=0.0, allow_nan=False), max_size=40),  # inf included
+    ))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_rankdata(self, values):
+        x = np.asarray(values, dtype=np.float64)
+        ranks = metrics._average_ranks(x)
+        expected = rankdata(x)
+        assert ranks.dtype == expected.dtype and ranks.tobytes() == expected.tobytes()
 
 
 class TestAggregate:

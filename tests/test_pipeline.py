@@ -236,6 +236,11 @@ class TestRunModes:
         with pytest.raises(ValueError, match="mode"):
             run_modes([clean.case], ["full", "everything"], quick_cfg())
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_no_workers_rejected(self, clean, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_modes([clean.case], MODES, quick_cfg(), workers=workers)
+
 
 BAD_CONFIGS = [
     (OptimizerProtocol, dict(steps=-3)),
