@@ -8,8 +8,6 @@ from .losses import (
     EdgeMapConfig,
     LossTermResult,
     anchor_term,
-    compact_loss,
-    diffuse_loss,
     edge_map,
     entropy_term,
     geodesic_term,
@@ -31,7 +29,7 @@ from .metrics import (
 from .optim import AdamState, NumericalFailure, OptimizerProtocol, RefinementTrace, adam_step, refine
 from .phantom import GeneratedPhantom, PhantomAnnotations, PhantomSpec, cohort, generate, scenario_spec
 from .pipeline import MODES, PipelineConfig, RunReport, run_case, run_cohort, run_modes
-from .selector import SelectionResult, SelectorConfig, expansion_region, select, texture_score
+from .selector import SelectionResult, SelectorConfig, expansion_region, select
 from .volume import (
     Case,
     EmptyRegionError,

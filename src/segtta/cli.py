@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -27,6 +28,13 @@ class CliInputError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes -1 and -0.001 for negative numbers but reads -1e-3 as
+        # a flag; widen its test to exponent form, so that such a value reaches
+        # the range check of its option (no option name looks like a number)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):  # reject unknown flags with exit code 1, not 2
         raise CliInputError(message)
 

@@ -4,7 +4,9 @@ The checker treats a loss term as a black-box scalar function of the logits
 and compares its analytic gradient against (f(z + h e_i) - f(z - h e_i)) / 2h
 per voxel.  Voxels taking part in a near-kink difference of the TV/geodesic
 terms (any axis |dP| below a cutoff) are excluded there, since the Charbonnier
-curvature makes the quotient ill-conditioned.
+curvature makes the quotient ill-conditioned.  The two composites are
+checked through the evaluators :func:`segtta.optim.refine` runs, with the
+gradient taken both with and without the value.
 """
 
 from __future__ import annotations
@@ -83,24 +85,31 @@ def check_term(term: str, seed: int, dims=(4, 4, 4)) -> GradCheckResult:
     g = _unit_interval_volume(seed, 2, dims)
     p = sigmoid(z).data
 
-    evaluators = {
+    terms = {
         "entropy": losses.entropy_term,
         "tv": losses.tv_term,
         "gravity": losses.gravity_term,
         "geodesic": lambda vol: losses.geodesic_term(vol, g),
         "inflation": losses.inflation_term,
         "anchor": lambda vol: losses.anchor_term(vol, z0),
-        "compact": lambda vol: losses.compact_loss(vol, z0),
-        "diffuse": lambda vol: losses.diffuse_loss(vol, z0, g),
     }
-    if term not in evaluators:
+    # the evaluators optim.refine runs, audited with and without the value
+    objectives = {
+        "compact": lambda: losses.compact_objective(z0.data, z.spacing, losses.CompactWeights()),
+        "diffuse": lambda: losses.diffuse_objective(z0.data, g.data, losses.DiffuseWeights()),
+    }
+    if term in terms:
+        evaluate = terms[term]
+        analytic = [evaluate(z).grad_z.data]
+        numeric = finite_diff_grad(lambda arr: evaluate(z.with_data(arr)).value, z.data)
+    elif term in objectives:
+        obj = objectives[term]()
+        analytic = [obj(z.data, value=value)[1].copy() for value in (True, False)]
+        numeric = finite_diff_grad(lambda arr: obj(arr)[0], z.data)
+    else:
         raise ValueError(f"unknown term {term!r}")
-    evaluate = evaluators[term]
     uses_kinks = term in ("tv", "geodesic", "compact", "diffuse")
-
-    analytic = evaluate(z).grad_z.data
-    numeric = finite_diff_grad(lambda arr: evaluate(z.with_data(arr)).value, z.data)
-    err = relative_errors(analytic, numeric)
+    err = np.maximum.reduce([relative_errors(a, numeric) for a in analytic])
     keep = ~tv_kink_exclusion(p) if uses_kinks else np.ones(p.shape, dtype=bool)
     checked = int(keep.sum())
     max_err = float(err[keep].max()) if checked else 0.0

@@ -9,14 +9,12 @@ normalized intrinsically by its probability weights.  The full derivations
 live in docs/gradients.md and are validated by the finite-difference checker
 in :mod:`segtta.gradcheck`.
 
-Each hypothesis is a table of ``(weight, kernel)`` pairs over one family of
-terms, and :func:`objective` is the only builder of a weighted sum: it drops
-zero-weight terms once, then on every call loads P and P(1-P) into a shared
-workspace and lets each kernel, in table order, add its own weighted gradient
-into the workspace's sum.  The kernel applies the weight, so each keeps its
-own operand order: most scale their finished gradient, ``lam * (grad_p * pq)``
-for tv, while geodesic scales before the chain factor, ``(lam * grad_p) * pq``.
-A public ``*_term`` function is the single-term table with weight 1.
+Each hypothesis is one call of :func:`objective`, the only builder of a
+weighted sum.  Every term but the anchor has gradient (dL/dP) P(1-P), so each
+P-space kernel adds its weighted dL/dP into one accumulator, with its scalars
+folded into a pass it already makes, and the objective multiplies by the chain
+factor once before it adds the anchor's logit-space gradient.  A public
+``*_term`` function is the objective of that term alone, at weight 1.
 
 An evaluator called with ``value=False`` returns the gradient only: each
 kernel skips the operations that serve its value alone, and the gradient is
@@ -105,25 +103,23 @@ def _require_finite_nonnegative(cfg) -> None:
 
 
 class _Workspace:
-    """The full-grid buffers one objective reuses on every call: P, P(1-P),
-    the summed gradient and three scratch arrays the kernels take in turn,
-    plus the current logits ``z``, the anchor logits ``z0`` and the voxel
-    count ``n``."""
+    """The full-grid buffers one objective reuses on every call: P, the chain
+    factor, the gradient accumulator and two scratch arrays, plus the current
+    logits ``z``, the anchor logits ``z0`` and the voxel count ``n``."""
 
     def __init__(self, z0: np.ndarray):
         self.z0, self.n = z0, z0.size
-        self.p, self.pq, self.grad, self.a, self.b, self.c = (np.empty(z0.shape) for _ in range(6))
+        self.p, self.pq, self.grad, self.a, self.b = (np.empty(z0.shape) for _ in range(5))
 
     def load(self, z: np.ndarray, value: bool) -> None:
         self.z, self.value = z, value
         sigmoid_into(z, self.p)
-        np.multiply(self.p, np.subtract(1.0, self.p, out=self.pq), out=self.pq)
-        self.grad.fill(0.0)
 
 
-# A kernel adds lam times its gradient into ws.grad and returns its
-# unweighted value, or None when ws.value is False.
-Kernel = Callable[[_Workspace, float], float | None]
+# A P-space kernel adds w N dL/dP into ws.grad, with w its weight over the
+# objective's reference weight, and returns its unweighted value, or None when
+# ws.value is False.  The entropy kernel writes ws.grad instead of adding.
+Kernel = Callable[..., float | None]
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
@@ -132,49 +128,40 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.einsum("i,i->", x.ravel(), y.ravel()))
 
 
-def _add(ws: _Workspace, lam: float, g: np.ndarray) -> None:
-    # grad += lam * g, scaling the kernel's scratch array g in place
-    g *= lam
-    ws.grad += g
-
-
-def _entropy(ws: _Workspace, lam: float) -> float | None:
+def _entropy(ws: _Workspace, w: float) -> float | None:
     # H = mean(P softplus(-z) + (1-P) softplus(z)), the binary entropy
     # written in the logits (-ln P = softplus(-z), -ln(1-P) = softplus(z));
-    # its exact derivative is dH/dz = -z P(1-P) / N.  With softplus(x) =
-    # max(x, 0) + softplus(-|x|) the value is a sum of three non-negative
-    # fields: softplus(-|z|) + P max(-z, 0) + (1-P) max(z, 0).
+    # dH/dP = -z / N.  With softplus(x) = max(x, 0) + softplus(-|x|) the value
+    # is a sum of three non-negative fields: softplus(-|z|) + P max(-z, 0) +
+    # (1-P) max(z, 0).  The chain-factor buffer is free until the objective
+    # builds the factor, after every kernel.
     value = None
     if ws.value:
-        sp, relu, q = ws.a, ws.b, ws.c
+        sp, relu, q = ws.a, ws.b, ws.pq
         np.log1p(np.exp(np.negative(np.abs(ws.z, out=sp), out=sp), out=sp), out=sp)
         np.subtract(1.0, ws.p, out=q)
         total = float(sp.sum()) + _dot(q, np.maximum(ws.z, 0.0, out=relu))
         total += _dot(ws.p, np.maximum(np.negative(ws.z, out=relu), 0.0, out=relu))
         value = total / ws.n
-    grad = np.negative(ws.z, out=ws.a)
-    grad *= ws.pq
-    grad /= ws.n
-    _add(ws, lam, grad)
+    np.multiply(ws.z, -w, out=ws.grad)
     return value
 
 
 def _charbonnier_faces(ws: _Workspace, face_w: Sequence[np.ndarray] | None) -> float | None:
     # sum over axes of w * (sqrt(d^2 + eps^2) - eps) with d the forward
     # difference (replicate boundary: final slab is zero), averaged over N;
-    # zero-difference entries contribute exactly zero.  The gradient with
-    # respect to P is left in ws.a.
+    # zero-difference entries contribute exactly zero.  The kernel adds N dL/dP,
+    # the divergence of the face field, unscaled: the objective makes this
+    # term's weight its reference and puts 1/N on the chain factor.
     #
     # The difference and its adjoint run on flat views of the C-ordered
     # buffers, where a step along ``axis`` is a shift by s entries.  A shifted
     # pair that wraps past the end of an axis lands in that axis's final slab,
     # which is then zeroed; in the adjoint such an entry adds that +0.0, which
-    # leaves every gradient entry as it was (none is ever -0.0).  So each entry
-    # gets the same operations, in the same order, as with strided slices.
-    p, grad, d, root = ws.p, ws.a, ws.b, ws.c
+    # changes no value (it can only turn a -0.0 into +0.0).
+    p, grad, d, root = ws.p, ws.grad, ws.a, ws.b
     pf, gf, df = p.ravel(), grad.ravel(), d.ravel()
     value = 0.0
-    grad.fill(0.0)
     for axis in range(3):
         s = math.prod(p.shape[axis + 1:])
         np.subtract(pf[s:], pf[:-s], out=df[:-s])
@@ -192,7 +179,6 @@ def _charbonnier_faces(ws: _Workspace, face_w: Sequence[np.ndarray] | None) -> f
             d *= face_w[axis]
         grad -= d
         gf[s:] += df[:-s]
-    grad /= ws.n
     return value / ws.n if ws.value else None
 
 
@@ -208,33 +194,17 @@ def _face_weights(g: np.ndarray) -> list[np.ndarray]:
     return weights
 
 
-def _tv(ws: _Workspace, lam: float) -> float:
-    value = _charbonnier_faces(ws, None)
-    ws.a *= ws.pq
-    _add(ws, lam, ws.a)  # lam * (grad_p * pq)
-    return value
-
-
-def _geodesic(ws: _Workspace, lam: float, faces: Sequence[np.ndarray] | None) -> float:
-    value = _charbonnier_faces(ws, faces)
-    # (lam * grad_p) * pq: here the weight comes before the chain factor, in
-    # tv after it; the order shows in the last bit
-    ws.a *= lam
-    ws.a *= ws.pq
-    ws.grad += ws.a
-    return value
-
-
-def _gravity(ws: _Workspace, lam: float, spacing: Spacing) -> float:
+def _gravity(ws: _Workspace, w: float, spacing: Spacing) -> float:
     # V = sum_v w_v ||x_v - c||^2 with w = P / (sum P + eps) and c = sum w x;
     # the gradient is differentiated through both w and c:
     #   dV/dP_k = (||x_k - c||^2 - V - 2 (1 - sum w) c.(x_k - c)) / (sum P + eps)
     # where (1 - sum w) = eps / (sum P + eps).  Both the value and the grad
     # basis separate over axes, so everything heavy is assembled from 1D
-    # per-axis pieces broadcast together once.
+    # per-axis pieces, with the scalars folded in, broadcast into ws.grad.
     p = ws.p
     coords = axis_coords(p.shape, spacing)
-    marg = (p.sum(axis=(1, 2)), p.sum(axis=(0, 2)), p.sum(axis=(0, 1)))
+    plane = p.sum(axis=0)  # the two passes over the grid: plane sums, then row sums
+    marg = (p.sum(axis=(1, 2)), plane.sum(axis=1), plane.sum(axis=0))
     mass = float(marg[0].sum())
     total = mass + GRAVITY_EPS
     deltas = []
@@ -245,53 +215,77 @@ def _gravity(ws: _Workspace, lam: float, spacing: Spacing) -> float:
         value += float(m_ax @ np.square(delta.ravel()))
         deltas.append((delta, ctr))
     value /= total
-    # per-axis basis: delta^2 - 2 (eps/total) ctr delta, still 1D
+    # per-axis basis: k (delta^2 - 2 (eps/total) ctr delta), still 1D, with
+    # -k V on the first axis
     shrink = 2.0 * (1.0 - mass / total)
-    basis = [d * d - shrink * ctr * d for d, ctr in deltas]
-    grad_p = np.add(basis[0] + basis[1], basis[2], out=ws.a)  # broadcast to full shape
-    grad_p -= value
-    grad_p *= ws.pq
-    grad_p /= total
-    _add(ws, lam, grad_p)
+    k = w * ws.n / total
+    bx, by, bz = (k * (d * d - shrink * ctr * d) for d, ctr in deltas)
+    bx -= k * value
+    ws.grad += bx + by
+    ws.grad += bz
     return value
 
 
-def _inflation(ws: _Workspace, lam: float) -> float | None:
-    grad = np.negative(ws.pq, out=ws.a)
-    grad /= ws.n
-    _add(ws, lam, grad)
+def _inflation(ws: _Workspace, w: float) -> float | None:
+    ws.grad -= w
     return -float(ws.p.sum()) / ws.n if ws.value else None
 
 
 def _anchor(ws: _Workspace, lam: float) -> float | None:
+    # a logit-space term: added after the chain multiply, with its own weight
     d = np.subtract(ws.z, ws.z0, out=ws.a)
     value = float(np.multiply(d, d, out=ws.b).sum()) / ws.n if ws.value else None
-    d *= 2.0
-    d /= ws.n
-    _add(ws, lam, d)
+    d *= 2.0 * lam / ws.n
+    ws.grad += d
     return value
 
 
-def objective(z0: np.ndarray, terms: Sequence[tuple[float, Kernel]]) -> Objective:
-    """Array-level evaluator ``(z, value=True) -> (sum of lam * term value,
-    its gradient)`` over ``(lam, kernel)`` pairs; zero-weight terms are
-    dropped here, once.  With ``value=False`` the value is None and the
+def objective(z0: np.ndarray, ent: float = 0.0, face: float = 0.0,
+              faces: Sequence[np.ndarray] | None = None,
+              term: tuple[float, Kernel] = (0.0, _inflation), anc: float = 0.0) -> Objective:
+    """Array-level evaluator ``(z, value=True) -> (value, gradient)`` of
+
+        ent * entropy + face * boundary penalty + lam * term + anc * anchor
+
+    with ``term = (lam, kernel)`` (gravity or inflation) and the boundary
+    penalty weighted by ``faces`` (None: total variation).  Zero-weight terms
+    are dropped here, once.  With ``value=False`` the value is None and the
     kernels skip the work only the value needs; the gradient is bit-identical.
 
     The evaluator allocates its full-grid buffers once and reuses them: the
     returned grad is overwritten by the next call, and one evaluator must not
     be called from two threads at once.
     """
-    terms = [(lam, kernel) for lam, kernel in terms if lam != 0.0]
     ws = _Workspace(z0)
+    # The P-space kernels sum N dL/dP / ref into one accumulator, which is
+    # multiplied once by the chain factor (ref / N) P(1-P).  With ref the face
+    # weight, the face kernel adds its scatter without a scaling pass.
+    ref = face if face != 0.0 else 1.0
+    chain = ref / ws.n
+    lam, kernel = term
+    kernels = [(weight, k) for weight, k in (
+        (ent, partial(_entropy, w=ent / ref)),
+        (face, partial(_charbonnier_faces, face_w=faces)),
+        (lam, partial(kernel, w=lam / ref)),
+    ) if weight != 0.0]
 
     def evaluate(z: np.ndarray, value: bool = True):
         ws.load(z, value)
+        if ent == 0.0:
+            ws.grad.fill(0.0)  # otherwise the entropy kernel writes it first
         total = 0.0
-        for lam, kernel in terms:
-            term = kernel(ws, lam)
+        for weight, k in kernels:
+            term_value = k(ws)
             if value:
-                total += lam * term
+                total += weight * term_value
+        pq = np.subtract(1.0, ws.p, out=ws.pq)
+        pq *= ws.p
+        pq *= chain
+        ws.grad *= pq
+        if anc != 0.0:
+            term_value = _anchor(ws, anc)
+            if value:
+                total += anc * term_value
         return (total if value else None), ws.grad
 
     return evaluate
@@ -300,45 +294,38 @@ def objective(z0: np.ndarray, terms: Sequence[tuple[float, Kernel]]) -> Objectiv
 def compact_objective(z0: np.ndarray, spacing: Spacing, weights: CompactWeights) -> Objective:
     """The compaction hypothesis (entropy + total variation + gravity +
     anchor) as an :func:`objective`."""
-    return objective(z0, [
-        (weights.lambda_ent, _entropy),
-        (weights.lambda_tv, _tv),
-        (weights.lambda_grav, partial(_gravity, spacing=spacing)),
-        (weights.lambda_anc, _anchor),
-    ])
+    return objective(z0, ent=weights.lambda_ent, face=weights.lambda_tv,
+                     term=(weights.lambda_grav, partial(_gravity, spacing=spacing)),
+                     anc=weights.lambda_anc)
 
 
 def diffuse_objective(z0: np.ndarray, g_map: np.ndarray | None, weights: DiffuseWeights) -> Objective:
     """The diffuse-recovery hypothesis (entropy + edge-gated boundary penalty
     + inflation + anchor) as an :func:`objective`; ``g_map=None`` is g
     identically 1, bit-for-bit the all-ones map without its face grids."""
-    faces = None if g_map is None else _face_weights(g_map)
-    return objective(z0, [
-        (weights.lambda_ent, _entropy),
-        (weights.lambda_geo, partial(_geodesic, faces=faces)),
-        (weights.lambda_inf, _inflation),
-        (weights.lambda_anc, _anchor),
-    ])
+    return objective(z0, ent=weights.lambda_ent, face=weights.lambda_geo,
+                     faces=None if g_map is None else _face_weights(g_map),
+                     term=(weights.lambda_inf, _inflation), anc=weights.lambda_anc)
 
 
 # ---------------------------------------------------------------------------
-# public single-term operations and composite losses (each on fresh buffers)
+# public single-term operations (each on fresh buffers)
 # ---------------------------------------------------------------------------
 
 
-def _single(z: Volume, kernel: Kernel, z0: Volume | None = None) -> LossTermResult:
-    value, grad = objective((z if z0 is None else z0).data, [(1.0, kernel)])(z.data)
+def _single(z: Volume, z0: Volume | None = None, **weights) -> LossTermResult:
+    value, grad = objective((z if z0 is None else z0).data, **weights)(z.data)
     return LossTermResult(value, z.with_data(grad))
 
 
 def entropy_term(z: Volume) -> LossTermResult:
     """Mean binary entropy of P = sigmoid(z); zero gradient at P = 1/2."""
-    return _single(z, _entropy)
+    return _single(z, ent=1.0)
 
 
 def tv_term(z: Volume) -> LossTermResult:
     """Smoothed total variation of P (Charbonnier |.|, eps = 1e-6), mean over voxels."""
-    return _single(z, _tv)
+    return _single(z, face=1.0)
 
 
 def gravity_term(z: Volume) -> LossTermResult:
@@ -347,18 +334,18 @@ def gravity_term(z: Volume) -> LossTermResult:
     Minimizing it pulls stray foreground mass toward the centroid; coordinates
     are physical, so anisotropic spacing is respected.
     """
-    return _single(z, partial(_gravity, spacing=z.spacing))
+    return _single(z, term=(1.0, partial(_gravity, spacing=z.spacing)))
 
 
 def inflation_term(z: Volume) -> LossTermResult:
     """Negative mean foreground probability; descending it grows the region."""
-    return _single(z, _inflation)
+    return _single(z, term=(1.0, _inflation))
 
 
 def anchor_term(z: Volume, z0: Volume) -> LossTermResult:
     """Mean squared logit deviation from the baseline, bounding refinement drift."""
     require_same_grid(z, z0, "logits and anchor logits")
-    return _single(z, _anchor, z0)
+    return _single(z, z0, anc=1.0)
 
 
 def geodesic_term(z: Volume, g: Volume) -> LossTermResult:
@@ -368,23 +355,7 @@ def geodesic_term(z: Volume, g: Volume) -> LossTermResult:
     With g identically 1 this reduces to :func:`tv_term` bit-for-bit.
     """
     require_same_grid(z, g, "logits and edge map")
-    return _single(z, partial(_geodesic, faces=_face_weights(g.data)))
-
-
-def compact_loss(z: Volume, z0: Volume, weights: CompactWeights = CompactWeights()) -> LossTermResult:
-    """Weighted sum: entropy + total variation + gravity + anchor."""
-    require_same_grid(z, z0, "logits and anchor logits")
-    value, grad = compact_objective(z0.data, z.spacing, weights)(z.data)
-    return LossTermResult(value, z.with_data(grad))
-
-
-def diffuse_loss(z: Volume, z0: Volume, g: Volume,
-                 weights: DiffuseWeights = DiffuseWeights()) -> LossTermResult:
-    """Weighted sum: entropy + edge-gated boundary penalty + inflation + anchor."""
-    require_same_grid(z, z0, "logits and anchor logits")
-    require_same_grid(z, g, "logits and edge map")
-    value, grad = diffuse_objective(z0.data, g.data, weights)(z.data)
-    return LossTermResult(value, z.with_data(grad))
+    return _single(z, face=1.0, faces=_face_weights(g.data))
 
 
 def edge_map(channels: Sequence[Volume], sigma_mm: float = 1.0, alpha: float = 10.0) -> Volume:

@@ -57,8 +57,9 @@ class OptimizerProtocol:
 
 @dataclass
 class AdamState:
-    """First/second moment estimates, the step counter, and two scratch
-    arrays of the same shape that :func:`adam_step` works in."""
+    """Unnormalised first/second moment sums (see :func:`adam_step`), the
+    step counter, and two scratch arrays of the same shape that
+    :func:`adam_step` works in."""
 
     m: np.ndarray
     v: np.ndarray
@@ -100,12 +101,19 @@ class RefinementTrace:
 
 
 def adam_step(state: AdamState, z: np.ndarray, grad: np.ndarray) -> tuple[AdamState, np.ndarray]:
-    """One bias-corrected Adam update: z' = z - lr * m_hat / (sqrt(v_hat) + eps).
+    """One bias-corrected Adam update, z' = z - lr * m_hat / (sqrt(v_hat) + eps),
+    kept on unnormalised moments:
+
+        M = beta1 M + g,  V = beta2 V + g^2,  z' = z - k_t M / (sqrt(V) + eps_t)
+
+    with s_t = sqrt((1 - beta2) / (1 - beta2^t)), k_t = lr (1 - beta1) /
+    (1 - beta1^t) / s_t and eps_t = eps / s_t.  Since m = (1 - beta1) M and
+    sqrt(v_hat) = s_t sqrt(V), this is Adam's update in exact arithmetic; the
+    scalars take the bias correction off the full grid.
 
     The update is in place: ``state`` (moments, counter, scratch) and ``z`` are
-    overwritten and returned.  Every product and sum keeps the operand order
-    of the formula, so the result is bit-identical to the out-of-place update.
-    A non-finite gradient raises before anything is written.
+    overwritten and returned, bit-identical to the out-of-place form of the
+    formula above.  A non-finite gradient raises before anything is written.
     """
     # a sum is finite only if every entry is; the exact test runs only when it
     # is not, so that an overflowing sum of finite entries still passes
@@ -113,16 +121,17 @@ def adam_step(state: AdamState, z: np.ndarray, grad: np.ndarray) -> tuple[AdamSt
         raise NumericalFailure(f"non-finite gradient at step {state.t + 1}")
     pr = state.protocol
     state.t += 1
+    s = math.sqrt((1.0 - pr.beta2) / (1.0 - pr.beta2**state.t))
+    k = pr.lr * (1.0 - pr.beta1) / (1.0 - pr.beta1**state.t) / s
     m, v, num, den = state.m, state.v, state.num, state.den
-    np.multiply(pr.beta1, m, out=m)
-    m += np.multiply(1.0 - pr.beta1, grad, out=num)
-    np.multiply(pr.beta2, v, out=v)
-    np.multiply(1.0 - pr.beta2, grad, out=num)
-    v += np.multiply(num, grad, out=num)
-    m_hat = np.divide(m, 1.0 - pr.beta1**state.t, out=num)
-    v_hat = np.divide(v, 1.0 - pr.beta2**state.t, out=den)
-    step = np.multiply(pr.lr, m_hat, out=num)
-    step /= np.add(np.sqrt(v_hat, out=den), pr.eps_adam, out=den)
+    m *= pr.beta1
+    m += grad
+    v *= pr.beta2
+    v += np.multiply(grad, grad, out=num)
+    np.sqrt(v, out=den)
+    den += pr.eps_adam / s
+    step = np.divide(m, den, out=num)
+    step *= k
     z -= step
     return state, z
 

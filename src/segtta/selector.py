@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
-from .volume import (Case, EmptyRegionError, Mask, Volume, mask_stats, require, require_same_grid, sigmoid,
-                     threshold)
+from .volume import Case, Mask, Volume, mask_stats, require, require_same_grid, sigmoid, threshold
 
 
 @dataclass(frozen=True)
@@ -60,21 +58,9 @@ def expansion_region(p0: Volume, diffuse_mask: Mask,
     return core, delta
 
 
-def texture_score(
-    image_channels: Sequence[Volume],
-    core: Mask,
-    delta: Mask,
-    gamma: float = 1.5,
-    eps: float = 1e-6,
-) -> float:
-    """Minimum per-channel texture-consistency score; raises EmptyRegionError
-    if either region is empty (callers resolve empties to the safe default)."""
-    if core.count == 0 or delta.count == 0:
-        raise EmptyRegionError("texture score needs nonempty core and delta regions")
-    return min(_channel_score(ch, core, delta, gamma, eps)[0] for ch in image_channels)
-
-
 def _channel_score(ch: Volume, core: Mask, delta: Mask, gamma: float, eps: float):
+    # (score, mu_core, sigma_core, mu_delta) of one channel; an empty region
+    # raises EmptyRegionError
     mu_core, sigma_core, _ = mask_stats(ch, core)
     mu_delta, _, _ = mask_stats(ch, delta)
     ratio = abs(mu_delta - mu_core) / (gamma * (sigma_core + eps))

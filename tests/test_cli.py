@@ -235,10 +235,12 @@ class TestOtherCommands:
         ("--tolerance", ["inf"], "tolerance"),
         ("--tolerance", ["0"], "tolerance"),
         ("--tolerance", ["-0.001"], "tolerance"),
+        ("--tolerance", ["-1e-3"], "tolerance"),
+        ("--tolerance", ["-1.5E+2"], "tolerance"),
         ("--dims", ["-1", "4", "4"], "dims"),
         ("--dims", ["4", "0", "4"], "dims"),
     ], ids=["nan-tolerance", "inf-tolerance", "zero-tolerance", "negative-tolerance",
-            "negative-dims", "zero-dims"])
+            "exponent-tolerance", "signed-exponent-tolerance", "negative-dims", "zero-dims"])
     def test_gradcheck_bad_input_exits_1(self, capsys, flag, values, field):
         assert main(["gradcheck", "--volumes", "1", flag, *values]) == 1
         captured = capsys.readouterr()
@@ -249,6 +251,13 @@ class TestOtherCommands:
         assert main(["ablate", "--mix", "clean_confident=1", "--steps", "2",
                      "--threads", threads]) == 1
         assert capsys.readouterr().err == f"error: threads must be >= 1, got {threads}\n"
+
+    @pytest.mark.parametrize("lr", ["-0.001", "-1e-3", "-.5e1"])
+    def test_ablate_negative_lr_exits_1(self, capsys, lr):
+        # exponent form reaches the range check too, not argparse's
+        # "expected one argument"
+        assert main(["ablate", "--mix", "clean_confident=1", "--steps", "2", "--lr", lr]) == 1
+        assert capsys.readouterr().err.startswith(f"error: lr must be finite and > 0, got {float(lr)!r}")
 
     def test_ablate_gates_and_refines_each_case_once(self, capsys, monkeypatch):
         # the flagged case needs compact, diffuse and diffuse with g == 1 over

@@ -200,42 +200,94 @@ class TestAnchor:
         assert_grad_matches(lambda z: losses.anchor_term(z, z0), rand_vol(14), rel_tol=1e-7)
 
 
+def as_term(objective):
+    """A Volume -> LossTermResult view of an array-level objective; the
+    gradient is copied out of the objective's reused buffer."""
+    def term(z):
+        value, grad = objective(z.data)
+        return losses.LossTermResult(value, z.with_data(grad.copy()))
+    return term
+
+
+def compact(z0, weights=losses.CompactWeights()):
+    return as_term(losses.compact_objective(z0.data, z0.spacing, weights))
+
+
+def diffuse(z0, g, weights=losses.DiffuseWeights()):
+    return as_term(losses.diffuse_objective(z0.data, g.data, weights))
+
+
 class TestComposites:
     def test_zero_weights_give_zero(self):
         z = rand_vol(21)
         z0 = rand_vol(22)
         g = rand_gmap(23)
-        compact = losses.compact_loss(z, z0, losses.CompactWeights(0, 0, 0, 0))
-        diffuse = losses.diffuse_loss(z, z0, g, losses.DiffuseWeights(0, 0, 0, 0))
-        for res in (compact, diffuse):
+        for res in (compact(z0, losses.CompactWeights(0, 0, 0, 0))(z),
+                    diffuse(z0, g, losses.DiffuseWeights(0, 0, 0, 0))(z)):
             assert res.value == 0.0
             assert np.all(res.grad_z.data == 0.0)
 
     def test_compact_hand_value_on_uniform_cube(self):
         z = vol(np.zeros((2, 2, 2)), spacing=(1, 1, 1))
-        res = losses.compact_loss(z, z, losses.CompactWeights())
+        res = compact(z)(z)
         # entropy ln 2 at weight 10; gravity = variance of the uniform 2^3
         # grid = 3/4 mm^2 at weight 50; TV and anchor vanish
         assert res.value == pytest.approx(10 * math.log(2) + 50 * 0.75, rel=1e-6)
 
     def test_compact_gradient_vs_finite_differences(self):
         z0 = rand_vol(31)
-        assert_grad_matches(
-            lambda z: losses.compact_loss(z, z0), rand_vol(30), exclude_kinks=True
-        )
+        assert_grad_matches(compact(z0), rand_vol(30), exclude_kinks=True)
 
     def test_diffuse_gradient_vs_finite_differences(self):
         z0 = rand_vol(41)
         g = rand_gmap(42)
-        assert_grad_matches(
-            lambda z: losses.diffuse_loss(z, z0, g), rand_vol(40), exclude_kinks=True
-        )
+        assert_grad_matches(diffuse(z0, g), rand_vol(40), exclude_kinks=True)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             losses.CompactWeights(lambda_ent=-1.0)
         with pytest.raises(ValueError, match=">= 0"):
             losses.DiffuseWeights(lambda_geo=-0.5)
+
+
+class TestFoldedGradient:
+    """Each objective folds its terms' scalars into one accumulator and one
+    chain multiply; its gradient must equal the weighted sum of the separate
+    term gradients up to rounding."""
+
+    @pytest.mark.parametrize("table", ["compact", "diffuse", "g_one"])
+    @pytest.mark.parametrize("zero", [None, 0, 1, 2, 3])
+    @pytest.mark.parametrize("dims, scale", [
+        ((12, 10, 9), 1.0),
+        ((12, 10, 9), 100.0),  # saturated: |z| up to ~400
+        ((5, 1, 7), 2.0),
+        ((2, 3, 1), 2.0),
+        ((1, 1, 1), 2.0),
+    ])
+    def test_gradient_is_the_weighted_sum_of_terms(self, table, zero, dims, scale):
+        z = rand_vol(90, dims=dims, scale=scale)
+        z0 = rand_vol(91, dims=dims)
+        g = rand_gmap(92, dims=dims) if table == "diffuse" else vol(np.ones(dims))
+        if table == "compact":
+            weights = [10.0, 0.5, 50.0, 50.0]
+            terms = [losses.entropy_term(z), losses.tv_term(z), losses.gravity_term(z),
+                     losses.anchor_term(z, z0)]
+        else:
+            weights = [2.0, 50.0, 5.0, 0.1]
+            terms = [losses.entropy_term(z), losses.geodesic_term(z, g), losses.inflation_term(z),
+                     losses.anchor_term(z, z0)]
+        if zero is not None:
+            weights[zero] = 0.0
+        if table == "compact":
+            objective = losses.compact_objective(z0.data, SPACING, losses.CompactWeights(*weights))
+        else:
+            g_map = None if table == "g_one" else g.data
+            objective = losses.diffuse_objective(z0.data, g_map, losses.DiffuseWeights(*weights))
+        value, grad = objective(z.data)
+        expected = sum(lam * t.grad_z.data for lam, t in zip(weights, terms))
+        assert np.abs(grad - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert value == pytest.approx(sum(lam * t.value for lam, t in zip(weights, terms)),
+                                      rel=1e-12, abs=1e-300)
 
 
 class TestObjectiveBuffers:
@@ -245,8 +297,9 @@ class TestObjectiveBuffers:
     def test_loss_result_survives_a_later_call(self):
         z0 = rand_vol(51)
         g = rand_gmap(52)
-        for loss in (lambda z: losses.compact_loss(z, z0),
-                     lambda z: losses.diffuse_loss(z, z0, g)):
+        for loss in (losses.tv_term,
+                     lambda z: losses.geodesic_term(z, g),
+                     lambda z: losses.anchor_term(z, z0)):
             first = loss(rand_vol(53))
             kept = first.grad_z.data.tobytes()
             loss(rand_vol(54))

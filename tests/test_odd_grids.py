@@ -1,4 +1,4 @@
-"""Every loss term, both composite losses and the axis-sliced primitives on
+"""Every loss term, both objectives and the axis-sliced primitives on
 grids with singleton axes and anisotropic spacing."""
 
 import numpy as np
@@ -27,9 +27,14 @@ def term_results(dims):
         "geodesic": losses.geodesic_term(z, g),
         "inflation": losses.inflation_term(z),
         "anchor": losses.anchor_term(z, z0),
-        "compact": losses.compact_loss(z, z0),
-        "diffuse": losses.diffuse_loss(z, z0, g),
+        "compact": objective_result(losses.compact_objective(z0.data, SPACING, losses.CompactWeights()), z),
+        "diffuse": objective_result(losses.diffuse_objective(z0.data, g.data, losses.DiffuseWeights()), z),
     }
+
+
+def objective_result(objective, z):
+    value, grad = objective(z.data)
+    return losses.LossTermResult(value, z.with_data(grad))
 
 
 @pytest.mark.parametrize("dims", ODD_DIMS)

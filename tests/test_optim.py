@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,29 @@ from segtta.volume import Case, Volume, sigmoid, threshold
 
 
 def textbook_adam(m, v, t, z, grad, pr):
-    """Out-of-place Adam, the reference the in-place update must match bit for bit."""
+    """Out-of-place textbook Adam, on normalised moments."""
     t += 1
     m = pr.beta1 * m + (1.0 - pr.beta1) * grad
     v = pr.beta2 * v + (1.0 - pr.beta2) * grad * grad
     m_hat = m / (1.0 - pr.beta1**t)
     v_hat = v / (1.0 - pr.beta2**t)
     return m, v, t, z - pr.lr * m_hat / (np.sqrt(v_hat) + pr.eps_adam)
+
+
+def unnormalised_adam(m, v, t, z, grad, pr):
+    """Out-of-place Adam on unnormalised moments, the reference the in-place
+    update must match bit for bit."""
+    t += 1
+    m = pr.beta1 * m + grad
+    v = pr.beta2 * v + grad * grad
+    s = math.sqrt((1.0 - pr.beta2) / (1.0 - pr.beta2**t))
+    k = pr.lr * (1.0 - pr.beta1) / (1.0 - pr.beta1**t) / s
+    return m, v, t, z - m / (np.sqrt(v) + pr.eps_adam / s) * k
+
+
+def spanning_gradients(rng, shape, steps=10):
+    """Gradients whose magnitudes span 1e-6 to 1e2, entry by entry."""
+    return [rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 2, size=shape) for _ in range(steps)]
 
 
 def small_case(seed=0, dims=(6, 6, 6)):
@@ -65,14 +83,27 @@ class TestAdamStep:
         z = rng.normal(size=(5, 4, 3))
         m, v, t, z_ref = np.zeros_like(z), np.zeros_like(z), 0, z.copy()
         state = AdamState.fresh(z.shape, pr)
-        for _ in range(10):
-            grad = rng.normal(size=z.shape) * 10.0 ** rng.uniform(-6, 2, size=z.shape)
-            m, v, t, z_ref = textbook_adam(m, v, t, z_ref, grad, pr)
+        for grad in spanning_gradients(rng, z.shape):
+            m, v, t, z_ref = unnormalised_adam(m, v, t, z_ref, grad, pr)
             state, z = adam_step(state, z, grad)
             assert state.t == t
             assert state.m.tobytes() == m.tobytes()
             assert state.v.tobytes() == v.tobytes()
             assert z.tobytes() == z_ref.tobytes()
+
+    @pytest.mark.parametrize("seed", [8, 9, 10])
+    def test_update_matches_textbook_adam(self, seed):
+        # the unnormalised moments are Adam in exact arithmetic; in floating
+        # point the logits stay within a few ulp of textbook Adam's
+        rng = np.random.default_rng(seed)
+        pr = OptimizerProtocol()
+        z = rng.normal(size=(5, 4, 3))
+        m, v, t, z_ref = np.zeros_like(z), np.zeros_like(z), 0, z.copy()
+        state = AdamState.fresh(z.shape, pr)
+        for grad in spanning_gradients(rng, z.shape):
+            m, v, t, z_ref = textbook_adam(m, v, t, z_ref, grad, pr)
+            state, z = adam_step(state, z, grad)
+            assert np.abs(z - z_ref).max() <= 2e-15
 
     def test_second_moment_nonnegative(self):
         rng = np.random.default_rng(5)

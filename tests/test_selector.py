@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from segtta.selector import SelectorConfig, expansion_region, select, texture_score
+from segtta.selector import SelectorConfig, _channel_score, expansion_region, select
 from segtta.volume import Case, EmptyRegionError, Mask, Volume, threshold
 
 SPACING = (1.0, 1.0, 1.0)
@@ -63,27 +63,30 @@ class TestExpansionRegion:
         assert np.array_equal(delta.data, diffuse.data)
 
 
+def texture_score(channels):
+    """The score select reports for the fixture's core and delta regions."""
+    result = select(make_case(channels), logits_for(CORE), logits_for(CORE | DELTA))
+    assert (result.core_voxels, result.delta_voxels) == (CORE.sum(), DELTA.sum())
+    return result.texture_score
+
+
 class TestTextureScore:
     def test_matched_means_score_one(self):
-        core, delta = masks()
         ch = intensity_channel(delta_offset_sigma=0.0)
-        assert texture_score([ch], core, delta) == pytest.approx(1.0, abs=1e-9)
+        assert texture_score([ch]) == pytest.approx(1.0, abs=1e-9)
 
     def test_offset_of_1p5_sigma(self):
-        core, delta = masks()
         ch = intensity_channel(delta_offset_sigma=1.5)
-        assert texture_score([ch], core, delta) == pytest.approx(math.exp(-0.5), abs=1e-4)
+        assert texture_score([ch]) == pytest.approx(math.exp(-0.5), abs=1e-4)
 
     def test_offset_of_5_sigma(self):
-        core, delta = masks()
         ch = intensity_channel(delta_offset_sigma=5.0)
-        assert texture_score([ch], core, delta) == pytest.approx(3.9e-3, abs=2e-4)
+        assert texture_score([ch]) == pytest.approx(3.9e-3, abs=2e-4)
 
     def test_min_over_channels(self):
-        core, delta = masks()
         mild = intensity_channel(delta_offset_sigma=0.213)   # score ~0.99
         harsh = intensity_channel(delta_offset_sigma=2.031)  # score ~0.40
-        got = texture_score([mild, harsh], core, delta)
+        got = texture_score([mild, harsh])
         assert got == pytest.approx(expected_score(2.031), rel=1e-6)
         assert got == pytest.approx(0.40, abs=5e-3)
 
@@ -92,9 +95,9 @@ class TestTextureScore:
         empty = Mask(np.zeros(DIMS, dtype=bool), SPACING)
         ch = intensity_channel()
         with pytest.raises(EmptyRegionError):
-            texture_score([ch], empty, delta)
+            _channel_score(ch, empty, delta, 1.5, 1e-6)
         with pytest.raises(EmptyRegionError):
-            texture_score([ch], core, empty)
+            _channel_score(ch, core, empty, 1.5, 1e-6)
 
 
 class TestSelect:
