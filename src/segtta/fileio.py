@@ -66,15 +66,13 @@ def write_volume(path, v: Volume | Mask, dtype: str = "f64") -> None:
     """Serialize to the HDTV container.  Masks always use the u8 tag."""
     if isinstance(v, Mask):
         tag = _TAG_MASK
-        payload = v.data.astype("u1").tobytes(order="F")
-    elif dtype == "f64":
-        tag = _TAG_F64
-        payload = v.data.astype("<f8").tobytes(order="F")
-    elif dtype == "f32":
-        tag = _TAG_F32
-        payload = v.data.astype("<f4").tobytes(order="F")
+    elif dtype in ("f64", "f32"):
+        tag = _TAG_F64 if dtype == "f64" else _TAG_F32
     else:
         raise ValueError(f"unsupported dtype {dtype!r}; use 'f64' or 'f32'")
+    # the payload in x-fastest order, converted and reordered in one copy:
+    # the transpose of the C-ordered data laid out in C order
+    payload = np.asarray(v.data.T, dtype=_DTYPE_TAGS[tag], order="C")
     header = bytearray()
     header += MAGIC
     header += VERSION.to_bytes(2, "little")
@@ -83,11 +81,18 @@ def write_volume(path, v: Volume | Mask, dtype: str = "f64") -> None:
         header += int(n).to_bytes(4, "little")
     header += np.asarray(v.spacing, dtype="<f8").tobytes()
     crc = zlib.crc32(payload) & 0xFFFFFFFF
-    Path(path).write_bytes(bytes(header) + payload + crc.to_bytes(4, "little"))
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(payload.data.cast("B"))
+        f.write(crc.to_bytes(4, "little"))
 
 
 def read_volume(path) -> Volume | Mask:
-    """Parse an HDTV container; raises a distinct error per failure mode."""
+    """Parse an HDTV container; raises a distinct error per failure mode.
+
+    The file's bytes are the only copy besides the returned array: the CRC
+    runs over a view of the payload, and the array is made by one conversion
+    from the x-fastest payload to C order."""
     raw = Path(path).read_bytes()
     if len(raw) < 4 or raw[:4] != MAGIC:
         raise BadMagicError(f"{path}: not an HDTV volume file")
@@ -108,17 +113,16 @@ def read_volume(path) -> Volume | Mask:
         raise TruncatedFileError(
             f"{path}: expected {43 + payload_len + 4} bytes for dims {dims}, got {len(raw)}"
         )
-    payload = raw[43 : 43 + payload_len]
     stored_crc = int.from_bytes(raw[43 + payload_len :], "little")
-    if zlib.crc32(payload) & 0xFFFFFFFF != stored_crc:
+    if zlib.crc32(memoryview(raw)[43 : 43 + payload_len]) & 0xFFFFFFFF != stored_crc:
         raise CrcMismatchError(f"{path}: payload CRC mismatch")
-    arr = np.frombuffer(payload, dtype=dtype).reshape(dims, order="F")
+    arr = np.frombuffer(raw, dtype=dtype, count=count, offset=43).reshape(dims, order="F")
     if tag == _TAG_MASK and (top := int(arr.max(initial=0))) > 1:
         raise BadMaskByteError(f"{path}: mask bytes must be 0 or 1, found {top}")
     try:
         if tag == _TAG_MASK:
-            return Mask(arr != 0, spacing)
-        return Volume(arr.astype(np.float64), spacing)
+            return Mask(np.ascontiguousarray(arr.view(np.bool_)), spacing)
+        return Volume(np.ascontiguousarray(arr, dtype=np.float64), spacing)
     except ValueError as exc:  # zero dim, non-finite payload or bad spacing
         raise VolumeFileError(f"{path}: {exc}") from exc
 

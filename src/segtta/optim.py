@@ -52,7 +52,8 @@ class OptimizerProtocol:
         for name in ("beta1", "beta2"):
             value = getattr(self, name)
             require(0.0 <= value < 1.0, f"{name} must lie in [0, 1), got {value!r}")
-        require(self.eps_adam > 0.0, f"eps_adam must be > 0, got {self.eps_adam!r}")
+        require(0.0 < self.eps_adam < math.inf,
+                f"eps_adam must be finite and > 0, got {self.eps_adam!r}")
 
 
 @dataclass

@@ -53,6 +53,7 @@ from .volume import Case, Mask, Spacing, Volume, axis_coords, require, require_d
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_U64 = 0xFFFFFFFFFFFFFFFF
 
 SCENARIOS = (
     "clean_confident",
@@ -69,7 +70,12 @@ class GeometryError(ValueError):
 
 def splitmix64(seed: int, counters: np.ndarray) -> np.ndarray:
     """Counter-addressable 64-bit stream: value(seed, k), vectorized over k."""
-    x = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + (counters.astype(np.uint64) + np.uint64(1)) * _GAMMA
+    x = np.uint64(seed & _U64) + (counters.astype(np.uint64) + np.uint64(1)) * _GAMMA
+    return _mix(x)
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer, in place on a uint64 array."""
     x ^= x >> np.uint64(30)
     x *= _MIX1
     x ^= x >> np.uint64(27)
@@ -78,12 +84,47 @@ def splitmix64(seed: int, counters: np.ndarray) -> np.ndarray:
     return x
 
 
+# standard_normals makes this many deviates at a time, so that its four
+# scratch arrays (256 KiB) stay in cache instead of streaming full-length
+# temporaries through memory
+_CHUNK = 8192
+# state offsets of a chunk's pairs: the first state of pair i sits i * 2 gamma
+# past the first state of pair 0 (mod 2^64)
+_PAIR_STEPS = np.arange(_CHUNK, dtype=np.uint64) * np.uint64(2 * int(_GAMMA) & _U64)
+
+
 def standard_normals(seed: int, start_counter: int, count: int) -> np.ndarray:
-    """One Gaussian deviate per counter pair via Box-Muller (cosine branch)."""
-    base = np.uint64(start_counter) + np.uint64(2) * np.arange(count, dtype=np.uint64)
-    u1 = ((splitmix64(seed, base) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-    u2 = (splitmix64(seed, base + np.uint64(1)) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    """One Gaussian deviate per counter pair via Box-Muller (cosine branch).
+
+    Deviate i uses counters start_counter + 2i and start_counter + 2i + 1, so
+    its two SplitMix64 states are c0 + 2i gamma and that plus gamma, with
+    c0 = seed + (start_counter + 1) gamma (mod 2^64).  The stream is made in
+    chunks of ``_CHUNK`` with the same operations in the same order as the
+    formula in the module docstring, so it does not depend on the chunking."""
+    out = np.empty(count)
+    s1, s2 = np.empty(_CHUNK, np.uint64), np.empty(_CHUNK, np.uint64)
+    u1, u2 = np.empty(_CHUNK), np.empty(_CHUNK)
+    c0 = seed + (start_counter + 1) * int(_GAMMA)
+    for lo in range(0, count, _CHUNK):
+        n = min(_CHUNK, count - lo)
+        x, y, a, b = s1[:n], s2[:n], u1[:n], u2[:n]
+        np.add(_PAIR_STEPS[:n], np.uint64((c0 + lo * 2 * int(_GAMMA)) & _U64), out=x)
+        np.add(x, _GAMMA, out=y)
+        _mix(x)
+        _mix(y)
+        x >>= np.uint64(11)
+        y >>= np.uint64(11)
+        # u1 = (top 53 bits + 1) 2^-53 in (0, 1], u2 = top 53 bits 2^-53 in [0, 1)
+        np.add(x, 1.0, out=a)
+        a *= 2.0**-53
+        np.log(a, out=a)
+        a *= -2.0
+        np.sqrt(a, out=a)
+        np.multiply(y, 2.0**-53, out=b)
+        b *= 2.0 * np.pi
+        np.cos(b, out=b)
+        np.multiply(a, b, out=out[lo:lo + n])
+    return out
 
 
 # how PhantomSpec.__post_init__ checks its fields: each in _TUPLE_LENGTHS as a
@@ -332,13 +373,17 @@ def generate(spec: PhantomSpec) -> GeneratedPhantom:
     nvox = int(np.prod(dims))
     channels = []
     for ch in range(spec.channels):
-        noise = standard_normals(spec.seed, 2 * ch * nvox, nvox)
-        noise = noise.reshape(dims, order="F")  # counters follow x-fastest order
-        channels.append(Volume(base + std_field * noise, spacing))
+        # counters follow x-fastest order; one copy to the C layout, then
+        # base + std_field * noise in place, contiguous
+        image = np.ascontiguousarray(
+            standard_normals(spec.seed, 2 * ch * nvox, nvox).reshape(dims, order="F"))
+        image *= std_field
+        image += base
+        channels.append(Volume(image, spacing))
 
     case = Case(
         image=tuple(channels),
-        logits0=Volume(logits.astype(np.float64), spacing),
+        logits0=Volume(logits, spacing),
         case_id=f"{spec.scenario}-{spec.seed}",
     )
     as_mask = lambda arr: Mask(arr, spacing) if arr is not None else None

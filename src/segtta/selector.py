@@ -31,7 +31,7 @@ class SelectorConfig:
             require(0.0 <= value <= 1.0, f"{name} must lie in [0, 1], got {value!r}")
         for name in ("gamma", "eps"):
             value = getattr(self, name)
-            require(value > 0.0, f"{name} must be > 0, got {value!r}")
+            require(0.0 < value < math.inf, f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
+import hashlib
 import json
+import math
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from segtta import fileio, phantom, pipeline
 from segtta.fileio import (
@@ -134,6 +138,128 @@ class TestVolumeErrors:
     def test_missing_file_reports_path(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="ghost.vol"):
             read_volume(tmp_path / "ghost.vol")
+
+
+# sha256 of the files written from layout_inputs(), pinned before write_volume
+# converted and reordered its payload in one copy
+FILE_DIGESTS = {
+    "f64": "72c8f92e084a0569eb211e53e844fa24d077d7d1f684d2f21e5fbd2ea8c49954",
+    "f32": "4324f273a2a9e408f326e5257e5ec56b2f34ff6ec037f986d417e12ee0f11e90",
+    "f64-strided": "9c138528756622e54018d4f63e20165817a1e34808438bd3c1e18751b2ad70ae",
+    "f32-fortran": "4324f273a2a9e408f326e5257e5ec56b2f34ff6ec037f986d417e12ee0f11e90",
+    "f64-transposed": "9a6f49c45428c2b6b62af0b6f3a0a1235fc62ebebaeab168dcdb85ba097945f8",
+    "mask": "14388aabc030684ea1cdf8a2e73dc4cf6560d5174de00e4d1e1a4f5cadfe2bfa",
+    "mask-strided": "f0c59fe3f63d4dacb2b89ceedcb9c25860d825be354505fff322bb9dead9971f",
+}
+
+
+def layout_inputs():
+    """Volumes and masks from C, strided, Fortran-ordered and transposed
+    arrays; uniform draws are exact integer arithmetic, so the bytes do not
+    depend on the platform's libm."""
+    rng = np.random.default_rng(12)
+    arr = rng.random((9, 6, 4)) * 20.0 - 10.0
+    bits = rng.random((9, 6, 4)) < 0.4
+    sp = (1.0, 0.5, 2.0)
+    return {
+        "f64": (Volume(arr, sp), "f64"),
+        "f32": (Volume(arr, sp), "f32"),
+        "f64-strided": (Volume(arr[::2, :, ::-1], sp), "f64"),
+        "f32-fortran": (Volume(np.asfortranarray(arr), sp), "f32"),
+        "f64-transposed": (Volume(arr.transpose(2, 0, 1), sp), "f64"),
+        "mask": (Mask(bits, sp), "f64"),
+        "mask-strided": (Mask(bits[1::2, ::-1, :], sp), "f64"),
+    }
+
+
+class TestVolumeLayout:
+    @pytest.mark.parametrize("key", list(FILE_DIGESTS))
+    def test_written_bytes_are_pinned(self, tmp_path, key):
+        v, dtype = layout_inputs()[key]
+        path = tmp_path / "v.vol"
+        write_volume(path, v, dtype)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == FILE_DIGESTS[key]
+
+    @pytest.mark.parametrize("key", list(FILE_DIGESTS))
+    def test_reads_are_c_contiguous_read_only_and_exact(self, tmp_path, key):
+        v, dtype = layout_inputs()[key]
+        path = tmp_path / "v.vol"
+        write_volume(path, v, dtype)
+        back = read_volume(path)
+        arr = back.data
+        assert type(back) is type(v) and back.dims == v.dims and back.spacing == v.spacing
+        assert arr.dtype == (np.bool_ if isinstance(v, Mask) else np.float64)
+        assert arr.flags.c_contiguous and not arr.flags.writeable
+        expected = v.data.astype(np.float32) if dtype == "f32" and isinstance(v, Volume) else v.data
+        assert np.array_equal(arr, expected)
+
+
+def small_file(tmp_path, tag=2):
+    """A valid 2x3x2 file of the given tag, as its path and its bytes."""
+    rng = np.random.default_rng(4)
+    v = Mask(rng.random((2, 3, 2)) < 0.5, (1.0, 0.5, 2.0)) if tag == 3 else \
+        Volume(rng.random((2, 3, 2)), (1.0, 0.5, 2.0))
+    path = tmp_path / "s.vol"
+    write_volume(path, v, "f32" if tag == 1 else "f64")
+    return path, path.read_bytes()
+
+
+class TestVolumeFuzz:
+    """Damaged files raise a VolumeFileError subclass and nothing else."""
+
+    @given(tag=st.sampled_from([1, 2, 3]), offset=st.integers(0, 18), value=st.integers(0, 255))
+    @settings(max_examples=200, deadline=None)
+    def test_changed_magic_version_tag_or_dims_byte_raises(self, tmp_path_factory, tag, offset, value):
+        path, raw = small_file(tmp_path_factory.mktemp("f"), tag)
+        assume(raw[offset] != value)
+        path.write_bytes(raw[:offset] + bytes([value]) + raw[offset + 1:])
+        with pytest.raises(VolumeFileError):
+            read_volume(path)
+
+    @given(offset=st.integers(19, 42), value=st.integers(0, 255))
+    @settings(max_examples=100, deadline=None)
+    def test_changed_spacing_byte_raises_or_keeps_the_payload(self, tmp_path_factory, offset, value):
+        path, raw = small_file(tmp_path_factory.mktemp("f"))
+        original = read_volume(path)
+        path.write_bytes(raw[:offset] + bytes([value]) + raw[offset + 1:])
+        try:
+            back = read_volume(path)
+        except VolumeFileError:
+            return
+        assert back.dims == original.dims
+        assert back.data.tobytes() == original.data.tobytes()
+        assert all(s > 0 and math.isfinite(s) for s in back.spacing)
+
+    @given(dims=st.tuples(*[st.integers(0, 2**32 - 1)] * 3), tag=st.sampled_from([1, 2, 3]))
+    @settings(max_examples=200, deadline=None)
+    def test_huge_or_wrong_dims_raise_before_allocating(self, tmp_path_factory, dims, tag):
+        payload = bytes(24)
+        assume(dims[0] * dims[1] * dims[2] * fileio._DTYPE_TAGS[tag].itemsize != len(payload))
+        header = b"HDTV" + (1).to_bytes(2, "little") + bytes([tag])
+        header += b"".join(n.to_bytes(4, "little") for n in dims) + np.ones(3, "<f8").tobytes()
+        path = tmp_path_factory.mktemp("f") / "d.vol"
+        path.write_bytes(header + payload + zlib.crc32(payload).to_bytes(4, "little"))
+        with pytest.raises(TruncatedFileError):
+            read_volume(path)
+
+    @pytest.mark.parametrize("tag", [1, 2, 3])
+    def test_truncation_at_every_offset_raises(self, tmp_path, tag):
+        path, raw = small_file(tmp_path, tag)
+        for n in range(len(raw)):
+            path.write_bytes(raw[:n])
+            with pytest.raises(BadMagicError if n < 4 else TruncatedFileError):
+                read_volume(path)
+
+    @pytest.mark.parametrize("tag", [1, 2, 3])
+    def test_every_payload_or_crc_byte_flip_raises(self, tmp_path, tag):
+        path, raw = small_file(tmp_path, tag)
+        for offset in range(43, len(raw)):
+            for mask_bits in (0x01, 0x80, 0xFF):
+                damaged = bytearray(raw)
+                damaged[offset] ^= mask_bits
+                path.write_bytes(bytes(damaged))
+                with pytest.raises(CrcMismatchError):
+                    read_volume(path)
 
 
 @pytest.fixture(scope="module")

@@ -77,6 +77,16 @@ class TestGateProperties:
         verdict = gate(prob_volume(500, 0), GateThresholds(vol_min=501))
         assert verdict.flagged and verdict.trigger == "small_volume"
 
+    # vol_min=inf would flag every case, and True would read as 1
+    @pytest.mark.parametrize("vol_min", [float("inf"), float("nan"), True, 300.5, -1],
+                             ids=["inf", "nan", "bool", "fraction", "negative"])
+    def test_vol_min_must_be_an_integer(self, vol_min):
+        with pytest.raises(ValueError, match="vol_min must be an integer >= 0"):
+            GateThresholds(vol_min=vol_min)
+
+    def test_numpy_integer_vol_min_accepted(self):
+        assert GateThresholds(vol_min=np.int64(12)).vol_min == 12
+
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_verdict_invariants_on_random_fields(self, seed):

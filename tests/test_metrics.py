@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata  # reference oracle for the numpy ranks
 
@@ -43,6 +43,41 @@ def random_mask(seed, dims, p=0.3, spacing=SP):
 
 
 import oracles
+
+
+def shifted(arr, axis, step):
+    """``arr`` moved one voxel along ``axis``, zero-filled."""
+    out = np.zeros_like(arr)
+    src, dst = [slice(None)] * 3, [slice(None)] * 3
+    src[axis], dst[axis] = (slice(None, -1), slice(1, None)) if step > 0 else (slice(1, None), slice(None, -1))
+    out[tuple(dst)] = arr[tuple(src)]
+    return out
+
+
+@st.composite
+def mask_pairs(draw):
+    """Two non-empty masks on one grid of 1-7 voxels per axis (singleton
+    axes included), isotropic or anisotropic, related as identical, disjoint,
+    shifted by one voxel, nested either way, or independent."""
+    dims = tuple(draw(st.integers(1, 7)) for _ in range(3))
+    spacing = draw(st.sampled_from([(1.0, 1.0, 1.0), (1.0, 0.7, 1.4), (0.25, 0.5, 2.0), (3.0, 0.3, 0.3)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.uniform(size=dims) < draw(st.floats(0.05, 0.95))
+    kind = draw(st.sampled_from(["identical", "disjoint", "shifted", "nested", "random"]))
+    if kind == "identical":
+        b = a.copy()
+    elif kind == "disjoint":
+        b = ~a
+    elif kind == "shifted":
+        b = shifted(a, draw(st.integers(0, 2)), draw(st.sampled_from([-1, 1])))
+    elif kind == "nested":
+        b = a & (rng.uniform(size=dims) < 0.7)
+        if draw(st.booleans()):
+            a, b = b, a
+    else:
+        b = rng.uniform(size=dims) < 0.3
+    assume(a.any() and b.any())
+    return mask(a, spacing), mask(b, spacing)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +206,15 @@ class TestHd95:
         assert directional >= 0.0 and pooled >= 0.0
         with pytest.raises(ValueError, match="method"):
             hd95(a, b, method="average")
+
+    @given(mask_pairs(), st.sampled_from(["pooled", "max_directional"]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_kdtree_formula_bit_for_bit(self, pair, method):
+        # shared surface voxels are taken at distance 0 without a lookup; the
+        # plain formula looks every voxel up, and the two must agree exactly
+        a, b = pair
+        got, want = hd95(a, b, method=method), oracles.hd95_kdtree(a, b, method)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_surface_extraction_matches_oracle(self):
         m = random_mask(11, (6, 5, 7), p=0.4)

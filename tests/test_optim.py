@@ -105,6 +105,13 @@ class TestAdamStep:
             state, z = adam_step(state, z, grad)
             assert np.abs(z - z_ref).max() <= 2e-15
 
+    # an infinite eps_adam makes every step 0, so the "refined" mask would be
+    # the baseline
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1e-8])
+    def test_eps_adam_must_be_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match="eps_adam must be finite and > 0"):
+            OptimizerProtocol(eps_adam=value)
+
     def test_second_moment_nonnegative(self):
         rng = np.random.default_rng(5)
         z = rng.normal(size=(3, 3, 3))

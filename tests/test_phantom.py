@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,63 @@ from segtta.phantom import (
     standard_normals,
 )
 from segtta.volume import sigmoid, threshold
+
+
+def sha256(arr) -> str:
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+
+# Digests of the reproducibility contract, pinned from the unchunked
+# implementation of standard_normals (one full-length array per step of the
+# formula in the phantom module docstring).  The counts straddle the edges of
+# the 8192-deviate chunks; the seed wraps mod 2^64 and the counter is > 2^40.
+# Box-Muller goes through numpy's float64 log and cos, so these digests hold
+# where those give the same bits as on the x86-64 host they were taken on.
+NORMALS_DIGESTS = [
+    (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (1, "9c1df2943ab755df301044dd23dfcd52d7b706b10a33a3a6d19aabda00346d85"),
+    (8191, "3d6ebd2a61324c3d1a1d4d5db3c7326fde2e2207c3b01f37a25e293c41ba5c9e"),
+    (8192, "3e84133ca47b930dfc17edc8936005c1536dd58752980f9eb22f0f95586e9db7"),
+    (8193, "479114555c29355fd63c5d63df83d4eb0a483816b482cbb478519d66ba13ab66"),
+    (24581, "e704668ed6eaf6fadbb6d84876e4b3cf02ed9c617b6e4042b89e882345189a05"),
+]
+
+# image (all channels, stacked), logits and gt of each scenario at seed 5
+PHANTOM_DIGESTS = [
+    ("clean_confident", {}, {
+        "image": "e7ddb02c6a41b4f537a17a230b604212e9f69e0d472f8cf0c2c949861129a423",
+        "logits": "c8773158e9c3c1b5c19e369ecaffba4374f07efb3f117948edfb9afc39bc77db",
+        "gt": "548b2f1cdd1c0c2bc92d9bfd997b774b24cbf07ccd8f4592602256f62e59f437",
+    }),
+    ("noise_island", {}, {
+        "image": "fae4c1c2ef601780ba5ba26a13f6bf323368cc113365ea4fc05814e4e51c859f",
+        "logits": "379ef3ec5d27687247f4bc2b4784d114e18f675d421fe3a4d4be7e226aafbb17",
+        "gt": "7a1af15b07a3ec53247aa3a7b7098db63d7007f176a791a021fa086612aa866c",
+    }),
+    ("under_segmented_matched", {}, {
+        "image": "dee8a7f4080952981fea2983ddb93973bea16e45bc62860636f0484371962ad7",
+        "logits": "e701fe73d9fd1f424e7a59ba7df5018b70f1a23214c9d71ab86bd01ec9a564d4",
+        "gt": "3092969ba4045027e4adde519c1a0177bf685f4e24b16b9840df9298c727b2b4",
+    }),
+    ("under_segmented_mismatched", {}, {
+        "image": "b1df56e0f9e03786e352545987a68a08616dedd1c6b56c24f950b3e24fb60965",
+        "logits": "e701fe73d9fd1f424e7a59ba7df5018b70f1a23214c9d71ab86bd01ec9a564d4",
+        "gt": "3092969ba4045027e4adde519c1a0177bf685f4e24b16b9840df9298c727b2b4",
+    }),
+    ("fragmented_small", {}, {
+        "image": "03bcee1ec8e8e0c4d5b98c773b50ff6afacfd9248063db03b1b478b866d4d0ce",
+        "logits": "1bd3d18deb38645761e41fda4f41ee1e4c298b01a190401a7d99b630da76f5f4",
+        "gt": "84536dc2aef68d622f95623ccef5d41b49b9f12aa8631820253b858947d5ae58",
+    }),
+    ("clean_confident", {"dims": (64, 64, 64)}, {
+        "image": "274c51dacb28bcbb45c93bedcde8449a8b6b4d7475a399aeff556d9a39146e1b",
+        "logits": "8706b2aee2201d1d08052e779bed65d3d8a2d46413c541008c339a93a6bcd8ba",
+        "gt": "591496fdde7c47e5cdb4c66d767d8fbdcbf2211d05e3b17c7442e6e1f0eadf1f",
+    }),
+    ("clean_confident", {"channels": 2}, {
+        "image": "da7d350896043af3fa4f5a0f6d34e3315c719a8d7293013c4152087de150eb2b",
+    }),
+]
 
 
 class TestCounterRng:
@@ -36,6 +95,20 @@ class TestCounterRng:
         assert abs(a.mean()) < 0.02
         assert abs(a.std() - 1.0) < 0.02
 
+    @pytest.mark.parametrize("count, digest", NORMALS_DIGESTS,
+                             ids=[str(n) for n, _ in NORMALS_DIGESTS])
+    def test_normals_match_pinned_digests(self, count, digest):
+        got = standard_normals(2**64 - 1, 2**40 + 12345, count)
+        assert got.dtype == np.float64 and got.shape == (count,)
+        assert sha256(got) == digest
+
+    def test_normals_of_a_sub_range_equal_that_slice_of_the_stream(self):
+        # deviate i of a stream that starts at counter 2k is deviate k + i of
+        # the stream from 0, wherever the chunk edges fall
+        whole = standard_normals(9, 0, 20000)
+        for k in (1, 8191, 8192, 12345):
+            assert np.array_equal(standard_normals(9, 2 * k, 20000 - k), whole[k:])
+
     def test_distinct_seeds_decorrelate(self):
         a = standard_normals(1, 0, 10000)
         b = standard_normals(2, 0, 10000)
@@ -51,6 +124,18 @@ class TestGenerate:
             for c1, c2 in zip(g1.case.image, g2.case.image):
                 assert np.array_equal(c1.data, c2.data)
             assert np.array_equal(g1.gt.data, g2.gt.data)
+
+    @pytest.mark.parametrize("scenario, overrides, digests", PHANTOM_DIGESTS,
+                             ids=[f"{s}{o.get('dims', '')}{'-ch2' if 'channels' in o else ''}"
+                                  for s, o, _ in PHANTOM_DIGESTS])
+    def test_outputs_match_pinned_digests(self, scenario, overrides, digests):
+        g = generate(scenario_spec(scenario, seed=5, **overrides))
+        got = {
+            "image": sha256(np.stack([c.data for c in g.case.image])),
+            "logits": sha256(g.case.logits0.data),
+            "gt": sha256(g.gt.data),
+        }
+        assert {k: got[k] for k in digests} == digests
 
     def test_seed_changes_noise_not_geometry(self):
         g1 = generate(scenario_spec("noise_island", seed=1))

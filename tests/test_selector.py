@@ -161,5 +161,15 @@ class TestSelect:
         assert result.chosen == "compact"
 
 
+class TestSelectorConfig:
+    # an infinite gamma or eps makes every texture score 1, so the selector
+    # would accept diffuse every time
+    @pytest.mark.parametrize("field", ["gamma", "eps"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0, 0.0])
+    def test_non_finite_or_non_positive_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
+            SelectorConfig(**{field: value})
+
+
 def logit_of(p):
     return math.log(p / (1.0 - p))
