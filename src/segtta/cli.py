@@ -181,7 +181,7 @@ def _cmd_ablate(args) -> int:
     runs = pipeline.run_modes(cases, pipeline.MODES, cfg, workers=args.threads)
     failed = next((r for reports in runs.values() for r in reports if r.error is not None), None)
     if failed is not None:  # an error report has no mask to score
-        raise optim.NumericalFailure(failed.error.removeprefix(f"{failed.case_id}: "))
+        raise optim.NumericalFailure(failed.error)
     per_mode = {mode: [metrics.evaluate(r.final_mask, g) for r, g in zip(reports, gts)]
                 for mode, reports in runs.items()}
     table = {mode: metrics.aggregate(sets) for mode, sets in per_mode.items()}

@@ -21,7 +21,7 @@ import dataclasses
 import json
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -132,33 +132,20 @@ def read_volume(path) -> Volume | Mask:
 # ---------------------------------------------------------------------------
 
 
-def report_to_dict(report: RunReport, include_timings: bool = True) -> dict[str, Any]:
-    """JSON-shaped report: full decision trace, full effective config, scalars
-    at full precision.  The mask payload lives in its own volume file; only
-    its voxel count is recorded here."""
-    out: dict[str, Any] = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "case_id": report.case_id,
-        "mode": report.mode,
-        "gate": dataclasses.asdict(report.gate),
-        "mask_source": report.mask_source,
-        "final_mask_voxels": report.final_mask.count if report.final_mask is not None else None,
-        "compact_trace": dataclasses.asdict(report.compact_trace) if report.compact_trace else None,
-        "diffuse_trace": dataclasses.asdict(report.diffuse_trace) if report.diffuse_trace else None,
-        "selection": dataclasses.asdict(report.selection) if report.selection else None,
-        "error": report.error,
-        "config": dataclasses.asdict(report.config) if report.config is not None else None,
-    }
-    out["timings_s"] = dict(report.timings_s) if include_timings else None
-    return out
-
-
-def dumps_report(report: RunReport | dict, include_timings: bool = True) -> str:
-    payload = report if isinstance(report, dict) else report_to_dict(report, include_timings)
+def dumps_report(report: RunReport, include_timings: bool = True) -> str:
+    """JSON report: full decision trace, full effective config, scalars at
+    full precision.  The mask payload lives in its own volume file; only its
+    voxel count is recorded here."""
+    payload = dataclasses.asdict(dataclasses.replace(report, final_mask=None))
+    del payload["final_mask"]
+    payload["final_mask_voxels"] = report.final_mask.count if report.final_mask is not None else None
+    payload["schema_version"] = REPORT_SCHEMA_VERSION
+    if not include_timings:
+        payload["timings_s"] = None
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def write_report(path, report: RunReport | dict, include_timings: bool = True) -> None:
+def write_report(path, report: RunReport, include_timings: bool = True) -> None:
     Path(path).write_text(dumps_report(report, include_timings))
 
 

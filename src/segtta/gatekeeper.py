@@ -8,12 +8,11 @@ transfer on already-correct predictions.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import Volume, require
+from .volume import Volume, finite_real, integer, require
 
 
 @dataclass(frozen=True)
@@ -24,11 +23,13 @@ class GateThresholds:
     unc_max: float = 0.05     # flagged when the band fraction exceeds this (strict >)
 
     def __post_init__(self):
-        require(isinstance(self.vol_min, numbers.Integral) and not isinstance(self.vol_min, bool)
-                and self.vol_min >= 0, f"vol_min must be an integer >= 0, got {self.vol_min!r}")
-        require(0.0 <= self.unc_lo < self.unc_hi <= 1.0,
+        require(integer(self.vol_min) and self.vol_min >= 0,
+                f"vol_min must be an integer >= 0, got {self.vol_min!r}")
+        require(finite_real(self.unc_lo) and finite_real(self.unc_hi)
+                and 0.0 <= self.unc_lo < self.unc_hi <= 1.0,
                 f"need 0 <= unc_lo < unc_hi <= 1, got unc_lo={self.unc_lo!r}, unc_hi={self.unc_hi!r}")
-        require(0.0 <= self.unc_max <= 1.0, f"unc_max must lie in [0, 1], got {self.unc_max!r}")
+        require(finite_real(self.unc_max) and 0.0 <= self.unc_max <= 1.0,
+                f"unc_max must lie in [0, 1], got {self.unc_max!r}")
 
 
 @dataclass(frozen=True)

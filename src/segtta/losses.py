@@ -31,7 +31,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .volume import Spacing, Volume, along, axis_coords, require, require_same_grid, sigmoid_into
+from .volume import (Spacing, Volume, along, axis_coords, finite_real, require, require_same_grid,
+                     sigmoid_into)
 
 # Charbonnier smoothing of |.| in the TV/geodesic terms and the mass guard in
 # the gravity weights.
@@ -86,15 +87,12 @@ class EdgeMapConfig:
     alpha: float = 10.0
 
     def __post_init__(self):
-        for name in ("sigma_mm", "alpha"):
-            value = getattr(self, name)
-            require(0.0 <= value < math.inf, f"{name} must be finite and >= 0, got {value!r}")
+        _require_finite_nonnegative(self)
 
 
 def _require_finite_nonnegative(cfg) -> None:
     for field, value in vars(cfg).items():
-        if field.startswith("lambda_"):
-            require(0.0 <= value < math.inf, f"{field} must be finite and >= 0, got {value!r}")
+        require(finite_real(value) and value >= 0.0, f"{field} must be finite and >= 0, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +356,7 @@ def geodesic_term(z: Volume, g: Volume) -> LossTermResult:
     return _single(z, face=1.0, faces=_face_weights(g.data))
 
 
-def edge_map(channels: Sequence[Volume], sigma_mm: float = 1.0, alpha: float = 10.0) -> Volume:
+def edge_map(channels: Sequence[Volume], cfg: EdgeMapConfig = EdgeMapConfig()) -> Volume:
     """Edge-stopping map in (0, 1]: ~1 in homogeneous tissue, ~0 at image edges.
 
     Per channel: Gaussian-smooth at a physical scale, take the spacing-scaled
@@ -372,14 +370,14 @@ def edge_map(channels: Sequence[Volume], sigma_mm: float = 1.0, alpha: float = 1
     for ch in channels[1:]:
         require_same_grid(ch, channels[0], "image channels")
     spacing = channels[0].spacing
-    sigma_vox = [sigma_mm / s for s in spacing]
+    sigma_vox = [cfg.sigma_mm / s for s in spacing]
     g = None
     for ch in channels:
         smooth = gaussian_filter(ch.data, sigma=sigma_vox, mode="nearest")
         mag = _gradient_magnitude(smooth, spacing)
         p99 = float(np.percentile(mag, 99.0))
         norm = mag / p99 if p99 > 0.0 else np.zeros_like(mag)
-        g_c = 1.0 / (1.0 + alpha * norm * norm)
+        g_c = 1.0 / (1.0 + cfg.alpha * norm * norm)
         g = g_c if g is None else np.minimum(g, g_c)
     return Volume(g, spacing)
 

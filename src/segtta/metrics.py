@@ -6,14 +6,13 @@ need a deterministic policy):
 
 * dice: both masks empty -> 1.0
 * precision: empty prediction -> 1.0 if the reference is empty, else 0.0
-* hd95: both empty -> 0.0; exactly one empty -> a penalty distance, by default
-  the physical diagonal of the volume
+* hd95: both empty -> 0.0; exactly one empty -> the physical diagonal of the
+  volume
 * hd95 pools the two directed surface-distance sets before taking the 95th
-  percentile (linear interpolation); a max-of-directional-percentiles variant
-  is available via ``method="max_directional"``.
+  percentile (linear interpolation)
 * a voxel on both surfaces is at distance exactly 0 from the other surface;
-  hd95 counts it as 0 without a nearest-neighbour lookup, which leaves every
-  distance set, and so both percentiles, unchanged.
+  hd95 counts it as 0 without a nearest-neighbour lookup, which leaves the
+  pooled distances, and so the percentile, unchanged.
 """
 
 from __future__ import annotations
@@ -101,25 +100,21 @@ def volume_diagonal_mm(mask: Mask) -> float:
     return math.sqrt(sum((n * s) ** 2 for n, s in zip(mask.dims, mask.spacing)))
 
 
-def hd95(
-    pred: Mask,
-    gt: Mask,
-    empty_penalty_mm: float | None = None,
-    method: str = "pooled",
-) -> float:
-    """95th percentile of bidirectional nearest-surface distances, in mm.
+def hd95(pred: Mask, gt: Mask) -> float:
+    """95th percentile of the pooled bidirectional nearest-surface distances,
+    in mm.
 
     A voxel on both surfaces is at distance exactly 0 from the other surface,
     so only the voxels on one surface alone are looked up in a KD-tree over
     the other surface.  The distances form the same multiset as when every
-    surface voxel is looked up, so both methods return the same bits."""
+    surface voxel is looked up, so the percentile has the same bits."""
     require_same_grid(pred, gt, "prediction and reference masks")
     n_pred = int(np.count_nonzero(pred.data))
     n_gt = int(np.count_nonzero(gt.data))
     if n_pred == 0 and n_gt == 0:
         return 0.0
     if n_pred == 0 or n_gt == 0:
-        return float(empty_penalty_mm) if empty_penalty_mm is not None else volume_diagonal_mm(pred)
+        return volume_diagonal_mm(pred)
     a, b = surface_voxels(pred), surface_voxels(gt)
     spacing = np.asarray(pred.spacing)
 
@@ -132,12 +127,7 @@ def hd95(
         tree = cKDTree(np.argwhere(dst).astype(np.float64) * spacing)
         return np.concatenate([shared, tree.query(np.argwhere(alone).astype(np.float64) * spacing)[0]])
 
-    d_ab, d_ba = distances(a, b), distances(b, a)
-    if method == "pooled":
-        return float(np.percentile(np.concatenate([d_ab, d_ba]), 95.0))
-    if method == "max_directional":
-        return float(max(np.percentile(d_ab, 95.0), np.percentile(d_ba, 95.0)))
-    raise ValueError(f"unknown hd95 method {method!r}")
+    return float(np.percentile(np.concatenate([distances(a, b), distances(b, a)]), 95.0))
 
 
 def evaluate(pred: Mask, gt: Mask) -> MetricSet:
@@ -249,15 +239,14 @@ def wilcoxon_holm(
     per_case_diffs: Mapping[str, Sequence[float]],
     directions: Mapping[str, str],
     method: str = "auto",
-    min_nonzero: int = 6,
 ) -> dict[str, WilcoxonResult]:
     """Per-metric one-sided tests, Holm-adjusted across the metric family.
 
     ``per_case_diffs[metric]`` holds paired differences (one per case);
     ``directions[metric]`` is the alternative for those differences.  All-zero
-    difference lists report p = 1 with the degenerate flag; fewer than
-    ``min_nonzero`` nonzero differences (but more than zero) is a contract
-    violation and raises, as does a NaN difference; an infinite one ranks
+    difference lists report p = 1 with the degenerate flag; fewer than 6
+    nonzero differences (but more than zero) is a contract violation and
+    raises, as does a NaN difference; an infinite one ranks
     last.
     """
     names = list(per_case_diffs)
@@ -266,10 +255,8 @@ def wilcoxon_holm(
         diffs = np.asarray(per_case_diffs[name], dtype=np.float64)
         require(not np.isnan(diffs).any(), f"metric {name!r} has a NaN paired difference")
         stat, p, n, used = _wilcoxon_one_sided(diffs, directions[name], method)
-        if 0 < n < min_nonzero:
-            raise ValueError(
-                f"metric {name!r} has only {n} nonzero paired differences; need >= {min_nonzero}"
-            )
+        if 0 < n < 6:
+            raise ValueError(f"metric {name!r} has only {n} nonzero paired differences; need >= 6")
         raw[name] = (stat, p, n, used)
     adjusted = holm_bonferroni([raw[name][1] for name in names])
     out = {}

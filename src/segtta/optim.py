@@ -18,14 +18,13 @@ curve holds.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
 from . import losses
-from .volume import Case, Volume, require
+from .volume import Case, Volume, finite_real, integer, require
 
 HypothesisName = Literal["compact", "diffuse"]
 
@@ -46,14 +45,14 @@ class OptimizerProtocol:
     eps_adam: float = 1e-8
 
     def __post_init__(self):
-        require(isinstance(self.steps, numbers.Integral) and self.steps >= 0,
+        require(integer(self.steps) and self.steps >= 0,
                 f"steps must be an integer >= 0, got {self.steps!r}")
-        require(0.0 < self.lr < math.inf, f"lr must be finite and > 0, got {self.lr!r}")
+        for name in ("lr", "eps_adam"):
+            value = getattr(self, name)
+            require(finite_real(value) and value > 0.0, f"{name} must be finite and > 0, got {value!r}")
         for name in ("beta1", "beta2"):
             value = getattr(self, name)
-            require(0.0 <= value < 1.0, f"{name} must lie in [0, 1), got {value!r}")
-        require(0.0 < self.eps_adam < math.inf,
-                f"eps_adam must be finite and > 0, got {self.eps_adam!r}")
+            require(finite_real(value) and 0.0 <= value < 1.0, f"{name} must lie in [0, 1), got {value!r}")
 
 
 @dataclass
@@ -157,9 +156,7 @@ def refine(
         objective = losses.compact_objective(z0, case.spacing, weights)
     elif hypothesis == "diffuse":
         weights = weights if weights is not None else losses.DiffuseWeights()
-        g = None
-        if edge_cfg is not None:
-            g = losses.edge_map(case.image, sigma_mm=edge_cfg.sigma_mm, alpha=edge_cfg.alpha).data
+        g = losses.edge_map(case.image, edge_cfg).data if edge_cfg is not None else None
         objective = losses.diffuse_objective(z0, g, weights)
     else:
         raise ValueError(f"unknown hypothesis {hypothesis!r}")

@@ -41,14 +41,12 @@ where v enumerates voxels in the canonical x-fastest order.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .volume import Case, Mask, Spacing, Volume, axis_coords, require, require_dims
+from .volume import Case, Mask, Spacing, Volume, axis_coords, finite_real, require, require_dims
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -136,12 +134,8 @@ _OPTIONAL = ("center_mm", "background_confidence")
 _CHECKED_APART = ("scenario", "seed", "channels", "dims", "fragment_offsets_mm")
 
 
-def _real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-
-
 def _reals(t, n: int) -> bool:
-    return isinstance(t, tuple) and len(t) == n and all(map(_real, t))
+    return isinstance(t, tuple) and len(t) == n and all(map(finite_real, t))
 
 
 @dataclass(frozen=True)
@@ -204,7 +198,7 @@ class PhantomSpec:
             if name in _CHECKED_APART or (value is None and name in _OPTIONAL):
                 continue
             n = _TUPLE_LENGTHS.get(name)
-            require(_real(value) if n is None else _reals(value, n),
+            require(finite_real(value) if n is None else _reals(value, n),
                     f"{name} must be {'a finite number' if n is None else f'{n} finite numbers'}, "
                     f"got {value!r}")
 
@@ -288,8 +282,9 @@ def generate(spec: PhantomSpec) -> GeneratedPhantom:
     """Build (case, ground truth, annotations) from the spec, bit-reproducibly."""
     dims, spacing = spec.dims, spec.spacing
     axes = axis_coords(tuple(dims), tuple(spacing))
-    conf = spec.confidence_scale
-    bg_conf = spec.background_confidence if spec.background_confidence is not None else conf
+    # floats, so that the logits are float64 even when these fields are ints
+    conf = float(spec.confidence_scale)
+    bg_conf = float(spec.background_confidence) if spec.background_confidence is not None else conf
 
     island = halo = rim = uncertain = beyond_shell = leak_band = None
 
@@ -405,18 +400,16 @@ def cohort(specs: Iterable[PhantomSpec]) -> list[GeneratedPhantom]:
     return [generate(s) for s in specs]
 
 
-def mixed_cohort_specs(counts: Mapping[str, int] | Sequence[tuple[str, int]],
-                       base_seed: int = 0, **overrides) -> list[PhantomSpec]:
-    """Expand a scenario->count template into specs with seeds base_seed + i.
+def mixed_cohort_specs(counts: Sequence[tuple[str, int]], base_seed: int = 0) -> list[PhantomSpec]:
+    """Expand (scenario, count) pairs into specs with seeds base_seed + i.
 
     Scenario blocks appear in the template's own order, so the mix is part of
     the reproducibility contract.
     """
-    items = counts.items() if isinstance(counts, Mapping) else counts
     specs: list[PhantomSpec] = []
     i = 0
-    for scenario, count in items:
+    for scenario, count in counts:
         for _ in range(int(count)):
-            specs.append(scenario_spec(scenario, base_seed + i, **overrides))
+            specs.append(scenario_spec(scenario, base_seed + i))
             i += 1
     return specs

@@ -154,7 +154,7 @@ def _report(case, cfg, verdict, gate_s, baseline, runs) -> RunReport:
     failure = next((r for r in runs.values() if isinstance(r, str)), None)
     if failure is not None:
         return RunReport(case_id=case.case_id, mode=cfg.mode, gate=verdict, mask_source="baseline",
-                         final_mask=None, error=f"{case.case_id}: {failure}", config=cfg)
+                         final_mask=None, error=failure, config=cfg)
     timings = {"gate_s": gate_s} | {f"{h}_s": seconds for h, (_, seconds) in runs.items()}
     traces = {h: trace for h, (trace, _) in runs.items()}
     source, selection = next(iter(traces), "baseline"), None
@@ -184,7 +184,7 @@ def run_case(case: Case, cfg: PipelineConfig = PipelineConfig()) -> RunReport:
     a refinement fails numerically."""
     report = run_modes([case], [cfg.mode], cfg)[cfg.mode][0]
     if report.error is not None:
-        raise optim.NumericalFailure(report.error.removeprefix(f"{case.case_id}: "))
+        raise optim.NumericalFailure(report.error)
     return report
 
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .volume import Case, Mask, Volume, mask_stats, require, require_same_grid, sigmoid, threshold
+from .volume import (Case, Mask, Volume, finite_real, mask_stats, require, require_same_grid, sigmoid,
+                     threshold)
 
 
 @dataclass(frozen=True)
@@ -28,10 +29,10 @@ class SelectorConfig:
     def __post_init__(self):
         for name in ("core_threshold", "accept_threshold"):
             value = getattr(self, name)
-            require(0.0 <= value <= 1.0, f"{name} must lie in [0, 1], got {value!r}")
+            require(finite_real(value) and 0.0 <= value <= 1.0, f"{name} must lie in [0, 1], got {value!r}")
         for name in ("gamma", "eps"):
             value = getattr(self, name)
-            require(0.0 < value < math.inf, f"{name} must be finite and > 0, got {value!r}")
+            require(finite_real(value) and value > 0.0, f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,8 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -102,15 +104,21 @@ class Mask:
         return Mask(data, self.spacing)
 
 
-def same_grid(a, b) -> bool:
-    return a.dims == b.dims and a.spacing == b.spacing
-
-
 def require(condition: bool, message: str) -> None:
     """Raise ValueError(message) unless ``condition`` holds; a NaN fails every
     comparison, so range checks written as ``lo <= x <= hi`` reject it."""
     if not condition:
         raise ValueError(message)
+
+
+def finite_real(x) -> bool:
+    """Whether ``x`` is a finite real number; a bool is not one."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def integer(x) -> bool:
+    """Whether ``x`` is an integer (numpy's too); a bool is not one."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def require_dims(dims) -> None:
@@ -121,7 +129,7 @@ def require_dims(dims) -> None:
 
 
 def require_same_grid(a, b, what: str = "operands") -> None:
-    if not same_grid(a, b):
+    if a.dims != b.dims or a.spacing != b.spacing:
         raise ValueError(
             f"dimension/spacing mismatch between {what}: "
             f"{a.dims}@{a.spacing} vs {b.dims}@{b.spacing}"
@@ -143,10 +151,6 @@ class Case:
         for i, ch in enumerate(channels):
             require_same_grid(ch, self.logits0, f"image channel {i} and logits0")
         object.__setattr__(self, "image", channels)
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.logits0.dims
 
     @property
     def spacing(self) -> Spacing:

@@ -41,7 +41,7 @@ def hd95(pred, gt):
     return float(np.percentile(np.asarray(d_ab + d_ba), 95.0))
 
 
-def hd95_kdtree(pred, gt, method="pooled"):
+def hd95_kdtree(pred, gt):
     """hd95 of two non-empty masks by the plain KD-tree formula: every surface
     point of each mask is looked up in a tree over all surface points of the
     other, shared points included.  Surfaces come from a padded six-neighbour
@@ -60,9 +60,7 @@ def hd95_kdtree(pred, gt, method="pooled"):
     a, b = points(pred), points(gt)
     d_ab = cKDTree(b).query(a)[0]
     d_ba = cKDTree(a).query(b)[0]
-    if method == "pooled":
-        return float(np.percentile(np.concatenate([d_ab, d_ba]), 95.0))
-    return float(max(np.percentile(d_ab, 95.0), np.percentile(d_ba, 95.0)))
+    return float(np.percentile(np.concatenate([d_ab, d_ba]), 95.0))
 
 
 def dice(pred, gt):

@@ -192,6 +192,16 @@ class TestOtherCommands:
         direct = phantom.generate(spec)
         assert np.array_equal(logits.data, direct.case.logits0.data)
 
+    def test_phantom_spec_with_an_integer_confidence_scale(self, tmp_path):
+        # an integer field must not turn the logits into integers
+        spec = json.loads(fileio.spec_to_json(phantom.scenario_spec("noise_island", seed=2)))
+        for name, scale in (("float", 4.0), ("int", 4)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(dict(spec, confidence_scale=scale)))
+            assert main(["phantom", "--spec", str(tmp_path / f"{name}.json"),
+                         "--out", str(tmp_path / name)]) == 0
+        for vol in ("image_c00.vol", "logits0.vol", "gt.vol", "uncertain.vol", "halo.vol"):
+            assert (tmp_path / "int" / vol).read_bytes() == (tmp_path / "float" / vol).read_bytes()
+
     @pytest.mark.parametrize("edit", [
         lambda spec: [],
         lambda spec: {"seed": 1},

@@ -178,7 +178,7 @@ class TestHd95:
         assert hd95(empty, empty) == 0.0
         diagonal = math.sqrt(4**2 + 8**2 + 8**2)
         assert hd95(full, empty) == pytest.approx(diagonal)
-        assert hd95(empty, full, empty_penalty_mm=7.5) == 7.5
+        assert hd95(empty, full) == pytest.approx(diagonal)
 
     def test_pooled_symmetry(self):
         a = random_mask(3, (7, 7, 7), p=0.2)
@@ -198,22 +198,13 @@ class TestHd95:
             b = random_mask(seed + 100, (5, 6, 4), p=0.3, spacing=(1.0, 0.7, 1.4))
             assert hd95(a, b) == pytest.approx(oracles.hd95(a, b), abs=1e-9)
 
-    def test_max_directional_variant(self):
-        a = random_mask(9, (6, 6, 6), p=0.3)
-        b = random_mask(10, (6, 6, 6), p=0.3)
-        pooled = hd95(a, b, method="pooled")
-        directional = hd95(a, b, method="max_directional")
-        assert directional >= 0.0 and pooled >= 0.0
-        with pytest.raises(ValueError, match="method"):
-            hd95(a, b, method="average")
-
-    @given(mask_pairs(), st.sampled_from(["pooled", "max_directional"]))
+    @given(mask_pairs())
     @settings(max_examples=300, deadline=None)
-    def test_equals_the_kdtree_formula_bit_for_bit(self, pair, method):
+    def test_equals_the_kdtree_formula_bit_for_bit(self, pair):
         # shared surface voxels are taken at distance 0 without a lookup; the
         # plain formula looks every voxel up, and the two must agree exactly
         a, b = pair
-        got, want = hd95(a, b, method=method), oracles.hd95_kdtree(a, b, method)
+        got, want = hd95(a, b), oracles.hd95_kdtree(a, b)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_surface_extraction_matches_oracle(self):

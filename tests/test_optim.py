@@ -189,7 +189,7 @@ class TestRefine:
         proto = OptimizerProtocol(steps=15)
         unit = refine(case, "diffuse", protocol=proto, edge_cfg=None)
         monkeypatch.setattr(losses, "edge_map",
-                            lambda image, **kw: Volume(np.ones(case.dims), case.spacing))
+                            lambda image, cfg: Volume(np.ones(case.logits0.dims), case.spacing))
         ones = refine(case, "diffuse", protocol=proto)
         assert unit.final_z.data.tobytes() == ones.final_z.data.tobytes()
         assert unit.loss_values == ones.loss_values

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -16,6 +17,19 @@ from segtta.phantom import (
     standard_normals,
 )
 from segtta.volume import sigmoid, threshold
+
+
+def _ints_where_integral(value):
+    """``value`` with each integral float, in tuples too, as an int."""
+    if isinstance(value, tuple):
+        return tuple(_ints_where_integral(v) for v in value)
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
+def phantom_bytes(g) -> list[bytes]:
+    """Image channels, logits, gt and annotation masks of a phantom, as bytes."""
+    masks = [m for m in vars(g.annotations).values() if hasattr(m, "data")]
+    return [v.data.tobytes() for v in (*g.case.image, g.case.logits0, g.gt, *masks)]
 
 
 def sha256(arr) -> str:
@@ -137,6 +151,16 @@ class TestGenerate:
         }
         assert {k: got[k] for k in digests} == digests
 
+    @pytest.mark.parametrize("scenario, overrides",
+                             [(s, {}) for s in phantom.SCENARIOS]
+                             + [("under_segmented_matched", {"rim_logit": -1.0})])
+    def test_integral_fields_given_as_ints_give_the_same_phantom(self, scenario, overrides):
+        spec = scenario_spec(scenario, seed=5, **overrides)
+        as_ints = dataclasses.replace(spec, **{
+            f.name: _ints_where_integral(getattr(spec, f.name)) for f in dataclasses.fields(spec)})
+        assert type(as_ints.confidence_scale) is int
+        assert phantom_bytes(generate(as_ints)) == phantom_bytes(generate(spec))
+
     def test_seed_changes_noise_not_geometry(self):
         g1 = generate(scenario_spec("noise_island", seed=1))
         g2 = generate(scenario_spec("noise_island", seed=2))
@@ -232,6 +256,6 @@ class TestCohorts:
         assert [s.scenario for s in specs] == ["clean_confident"] * 3 + ["noise_island"] * 2
 
     def test_template_label_mix(self):
-        specs = mixed_cohort_specs({"clean_confident": 2, "fragmented_small": 2})
+        specs = mixed_cohort_specs([("clean_confident", 2), ("fragmented_small", 2)])
         labels = [generate(s).annotations.expected_flagged for s in specs]
         assert labels == [False, False, True, True]

@@ -2,12 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segtta import fileio, phantom
 from segtta.gatekeeper import GateThresholds, gate
 from segtta.losses import CompactWeights, DiffuseWeights, EdgeMapConfig
 from segtta.optim import OptimizerProtocol
-from segtta.pipeline import MODES, PipelineConfig, run_case, run_cohort, run_modes
+from segtta.pipeline import MODE_TABLE, MODES, PipelineConfig, run_case, run_cohort, run_modes
 from segtta.selector import SelectorConfig
 from segtta.volume import Case, Volume, sigmoid, threshold
 
@@ -26,6 +28,24 @@ def clean():
 @pytest.fixture(scope="module")
 def island():
     return phantom.generate(phantom.scenario_spec("noise_island", seed=1))
+
+
+@st.composite
+def odd_cases(draw):
+    """A small case on a grid with singleton axes or anisotropic spacing,
+    with 1-3 channels of constant or noisy image and logits that are noisy,
+    confident (+-4) or saturated (+-800)."""
+    dims = tuple(draw(st.sampled_from([1, 2, 5])) for _ in range(3))
+    spacing = draw(st.sampled_from([(1.0, 1.0, 1.0), (0.5, 1.0, 2.5)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    constant = draw(st.booleans())
+    image = tuple(Volume(np.full(dims, 0.7) if constant else rng.normal(size=dims), spacing)
+                  for _ in range(draw(st.integers(1, 3))))
+    z = rng.normal(scale=3.0, size=dims)
+    level = draw(st.sampled_from([None, 4.0, 800.0]))
+    if level is not None:
+        z = np.where(z > 0.0, level, -level)
+    return Case(image=image, logits0=Volume(z, spacing))
 
 
 class TestRunCase:
@@ -222,7 +242,7 @@ class TestRunModes:
         cid = island.case.case_id
         for mode in ("full", "no_gatekeeper", "only_diffuse"):
             assert reports[mode][0].error == (
-                f"{cid}: case {cid!r}, hypothesis diffuse: non-finite gradient at step 5")
+                f"case {cid!r}, hypothesis diffuse: non-finite gradient at step 5")
             assert reports[mode][0].final_mask is None
         for mode in ("only_compact", "no_edge_map"):
             assert reports[mode][0].error is None
@@ -231,6 +251,29 @@ class TestRunModes:
         # the unflagged case refines only where the gate is off
         assert reports["no_gatekeeper"][1].error is not None
         assert all(reports[mode][1].error is None for mode in MODES if mode != "no_gatekeeper")
+
+    @given(st.lists(odd_cases(), min_size=1, max_size=3), st.sampled_from([0, 300]))
+    @settings(max_examples=30, deadline=None)
+    def test_invariants_on_odd_inputs(self, cases, vol_min):
+        cases = [dataclasses.replace(c, case_id=f"c{i}") for i, c in enumerate(cases)]
+        cfg = PipelineConfig(gate=GateThresholds(vol_min=vol_min), protocol=OptimizerProtocol(steps=3))
+        one, two = (run_modes(cases, MODES, cfg, workers=w) for w in (1, 2))
+        for mode in MODES:
+            for case, a, b in zip(cases, one[mode], two[mode]):
+                assert (fileio.dumps_report(a, include_timings=False)
+                        == fileio.dumps_report(b, include_timings=False))
+                assert a.final_mask.data.tobytes() == b.final_mask.data.tobytes()
+                assert a.final_mask.dims == case.logits0.dims
+                assert a.final_mask.spacing == case.spacing
+                if MODE_TABLE[mode].gated and not a.gate.flagged:
+                    assert a.mask_source == "baseline"
+                    assert a.compact_trace is None and a.diffuse_trace is None
+                    baseline = threshold(sigmoid(case.logits0), 0.5)
+                    assert a.final_mask.data.tobytes() == baseline.data.tobytes()
+        for full, compact in zip(one["full"], one["only_compact"]):
+            if full.mask_source == "compact":
+                assert full.compact_trace == compact.compact_trace
+                assert full.final_mask.data.tobytes() == compact.final_mask.data.tobytes()
 
     def test_unknown_mode_rejected(self, clean):
         with pytest.raises(ValueError, match="mode"):
@@ -268,6 +311,16 @@ BAD_CONFIGS = [
     (CompactWeights, dict(lambda_grav=float("inf"))),
     (DiffuseWeights, dict(lambda_inf=float("nan"))),
     (DiffuseWeights, dict(lambda_geo=float("inf"))),
+    # a bool is not a number, and a string is rejected, not compared
+    (OptimizerProtocol, dict(steps=True)),
+    (OptimizerProtocol, dict(lr=True)),
+    (OptimizerProtocol, dict(beta1=False)),
+    (OptimizerProtocol, dict(lr="0.1")),
+    (SelectorConfig, dict(gamma=True)),
+    (EdgeMapConfig, dict(alpha=True)),
+    (CompactWeights, dict(lambda_tv=True)),
+    (CompactWeights, dict(lambda_tv="1")),
+    (GateThresholds, dict(unc_max=True)),
 ]
 
 
