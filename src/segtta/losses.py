@@ -29,7 +29,6 @@ from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .volume import (Spacing, Volume, along, axis_coords, finite_real, require, require_same_grid,
                      sigmoid_into)
@@ -373,13 +372,57 @@ def edge_map(channels: Sequence[Volume], cfg: EdgeMapConfig = EdgeMapConfig()) -
     sigma_vox = [cfg.sigma_mm / s for s in spacing]
     g = None
     for ch in channels:
-        smooth = gaussian_filter(ch.data, sigma=sigma_vox, mode="nearest")
+        smooth = _gaussian_nearest(ch.data, sigma_vox)
         mag = _gradient_magnitude(smooth, spacing)
         p99 = float(np.percentile(mag, 99.0))
         norm = mag / p99 if p99 > 0.0 else np.zeros_like(mag)
         g_c = 1.0 / (1.0 + cfg.alpha * norm * norm)
         g = g_c if g is None else np.minimum(g, g_c)
     return Volume(g, spacing)
+
+
+# Bytes of padded lines per pass of the Gaussian's tap loop, so the padded
+# chunk, its scratch and the output chunk stay in cache: of 64 KiB to 1 MiB,
+# 256 KiB was fastest at 36x28x28 to 64^3 on a 2-core Xeon (2 MiB L2 per core).
+GAUSS_CHUNK_BYTES = 256 * 1024
+
+
+def _gaussian_nearest(x: np.ndarray, sigmas: Sequence[float],
+                      chunk_bytes: int = GAUSS_CHUNK_BYTES) -> np.ndarray:
+    """``scipy.ndimage.gaussian_filter(x, sigmas, mode="nearest")`` (truncate
+    4), bit for bit, in numpy; ``x`` uncopied when no sigma exceeds 1e-15.
+
+    It is scipy's computation: axis by axis, a kernel of radius
+    r = int(4 sigma + 0.5) normalised by its sum, and per output voxel
+    scipy's symmetric-kernel loop, c w_0 + sum over k = r..1 of
+    (left_k + right_k) w_k on edge-replicated lines, all in float64.  The tap
+    loop runs over chunks of padded lines that fit in cache."""
+    out = np.ascontiguousarray(x, dtype=np.float64)
+    for axis, sigma in enumerate(sigmas):
+        if sigma <= 1e-15:
+            continue
+        r = int(4.0 * sigma + 0.5)
+        taps = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+        w = (taps / taps.sum())[r:]
+        n = out.shape[axis]
+        src = out.reshape(math.prod(out.shape[:axis]), n, -1)  # (outer, line, inner)
+        dst = np.empty_like(src)
+        per_chunk = max(1, chunk_bytes // (8 * (n + 2 * r)))
+        bi = min(src.shape[2], per_chunk)
+        bo = max(1, per_chunk // bi)
+        pad, tmp = np.empty((bo, n + 2 * r, bi)), np.empty((bo, n, bi))
+        for o in range(0, src.shape[0], bo):
+            for i in range(0, src.shape[2], bi):
+                s, d = src[o:o + bo, :, i:i + bi], dst[o:o + bo, :, i:i + bi]
+                p, t = pad[:s.shape[0], :, :s.shape[2]], tmp[:s.shape[0], :, :s.shape[2]]
+                p[:, :r], p[:, r:r + n], p[:, r + n:] = s[:, :1], s, s[:, -1:]
+                np.multiply(s, w[0], out=d)
+                for k in range(r, 0, -1):
+                    np.add(p[:, r - k:r - k + n], p[:, r + k:r + k + n], out=t)
+                    t *= w[k]
+                    d += t
+        out = dst.reshape(out.shape)
+    return out
 
 
 def _gradient_magnitude(arr: np.ndarray, spacing: Spacing) -> np.ndarray:

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .volume import Mask, along, require, require_same_grid
 
@@ -108,6 +107,10 @@ def hd95(pred: Mask, gt: Mask) -> float:
     so only the voxels on one surface alone are looked up in a KD-tree over
     the other surface.  The distances form the same multiset as when every
     surface voxel is looked up, so the percentile has the same bits."""
+    # scipy.spatial is imported by the first call, not with segtta: it is the
+    # only scipy code any path needs, and commands that take no hd95 skip it
+    from scipy.spatial import cKDTree
+
     require_same_grid(pred, gt, "prediction and reference masks")
     n_pred = int(np.count_nonzero(pred.data))
     n_gt = int(np.count_nonzero(gt.data))

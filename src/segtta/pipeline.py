@@ -12,15 +12,16 @@ identically 1.  :func:`run_case` and :func:`run_cohort` are its one-mode views.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Sequence, get_type_hints
 
 from . import losses, optim
 from .gatekeeper import GateThresholds, GateVerdict, gate
 from .selector import SelectionResult, SelectorConfig, select
-from .volume import Case, Mask, sigmoid, threshold
+from .volume import Case, Mask, require, sigmoid, threshold
 
 
 class Mode(NamedTuple):
@@ -55,6 +56,11 @@ class PipelineConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        # each field is an instance of its declared class, so a None or a
+        # string fails here, not later in a pool thread (a bool is not an int)
+        for name, cls in get_type_hints(PipelineConfig).items():
+            value = getattr(self, name)
+            require(isinstance(value, cls), f"{name} must be of type {cls.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -95,9 +101,11 @@ def run_modes(
     with each report in case order.  Each case is gated once, and each
     distinct refinement (case, hypothesis, whether diffuse sees the edge map)
     runs once, on one pool of ``workers`` threads, times the most hypotheses
-    a mode refines when ``cfg.parallel_hypotheses`` is set.  A refinement
-    that fails numerically gives its case an error report in every mode that
-    needed it, and the run continues; any other exception propagates."""
+    a mode refines when ``cfg.parallel_hypotheses`` is set, and at most one
+    thread per usable CPU.  Any thread count gives identical reports, timings
+    aside.  A refinement that fails numerically gives its case an error
+    report in every mode that needed it, and the run continues; any other
+    exception propagates."""
     if len(cases) < 1:
         raise ValueError("cohort needs at least one case")
     if workers < 1:
@@ -132,12 +140,13 @@ def run_modes(
 
     reports: dict[str, list[RunReport]] = {mode: [] for mode in cfgs}
     # per worker, one thread per hypothesis a case runs (in the one-hypothesis
-    # modes a second one only oversubscribes the cores).  Refinements share
-    # only immutable inputs, so any thread count gives identical traces;
-    # results come back case-major, and each case's traces are dropped once
-    # its reports are built
+    # modes a second one only oversubscribes the cores), and no more threads
+    # than usable CPUs: more only switch contexts.  Refinements share only
+    # immutable inputs, so any thread count gives identical traces; results
+    # come back case-major, and each case's traces are dropped once its
+    # reports are built
     per_worker = max((len(MODE_TABLE[m].hypotheses) for m in cfgs), default=1)
-    threads = workers * (per_worker if cfg.parallel_hypotheses else 1)
+    threads = min(workers * (per_worker if cfg.parallel_hypotheses else 1), _usable_cpus())
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = pool.map(refine, [(case, k) for case, ks in zip(cases, plan) for k in ks])
         for case, (verdict, gate_s, baseline), ks in zip(cases, gates, plan):
@@ -146,6 +155,13 @@ def run_modes(
                 runs = {h: done[h, e] for h, e in keys(mode, verdict)}
                 reports[mode].append(_report(case, c, verdict, gate_s, baseline, runs))
     return reports
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the platform has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _report(case, cfg, verdict, gate_s, baseline, runs) -> RunReport:

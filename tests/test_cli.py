@@ -65,13 +65,11 @@ class TestRunCommand:
         # needs its own process; a reduction split across threads sums in
         # another order and would change the report's loss digits
         paths = write_phantom_files(tmp_path, scenario="fragmented_small", seed=4)
-        src_dir = str(Path(segtta.__file__).resolve().parents[1])
-        pythonpath = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
         outs = []
         for threads in ("1", "2"):
             mask_out = tmp_path / f"mask_{threads}.vol"
             report_out = tmp_path / f"report_{threads}.json"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=_pythonpath())
             subprocess.run([
                 sys.executable, "-m", "segtta.cli",
                 "run", "--image", paths["image"][0], "--logits", paths["logits"],
@@ -349,15 +347,68 @@ class TestOtherCommands:
         assert main(["explode"]) == 1
 
 
+def _pythonpath() -> str:
+    src_dir = str(Path(segtta.__file__).resolve().parents[1])
+    return os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+
+
 @pytest.mark.parametrize("module", ["segtta", "segtta.cli"])
 def test_import_leaves_out_scipy_stats(module):
-    # scipy.stats costs about as much start-up as the rest of the import
-    # together, and no code path needs it; a fresh process shows what
-    # importing the package loads
-    src_dir = str(Path(segtta.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    # scipy costs several times the start-up of numpy and segtta together,
+    # and only hd95's KD-tree needs it, imported by the first call; a fresh
+    # process shows what importing the package loads
     code = (f"import sys, {module}; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
-    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=pythonpath),
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=_pythonpath()),
                          check=True, capture_output=True, text=True, timeout=120).stdout
     assert out == "[]\n"
+
+
+# runs the CLI with its arguments in a process where importing scipy fails
+WITHOUT_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}")
+
+sys.meta_path.insert(0, NoScipy())
+from segtta.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_commands_without_hd95_run_without_scipy(tmp_path, capsys):
+    # a numpy-only install: phantom, run on a flagged case (edge map and both
+    # hypotheses), gatekeep and gradcheck exit 0, and run writes the same
+    # report and mask as with scipy importable
+    def without_scipy(*args):
+        return subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, *args],
+                              env=dict(os.environ, PYTHONPATH=_pythonpath()),
+                              capture_output=True, text=True, timeout=300)
+
+    case = tmp_path / "case"
+    run_args = ["run", "--image", str(case / "image_c00.vol"), "--logits", str(case / "logits0.vol"),
+                "--steps", "40", "--no-timing"]
+    done = without_scipy("phantom", "--scenario", "noise_island", "--seed", "3", "--out", str(case))
+    assert done.returncode == 0, done.stderr
+    done = without_scipy(*run_args, "--out-mask", str(tmp_path / "mask_a.vol"),
+                         "--report", str(tmp_path / "report_a.json"))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["flagged"] is True
+    gatekeep = without_scipy("gatekeep", "--logits", str(case / "logits0.vol"))
+    assert gatekeep.returncode == 0, gatekeep.stderr
+    done = without_scipy("gradcheck", "--dims", "5", "4", "3")
+    assert done.returncode == 0, done.stderr
+    assert "OK: all gradients within" in done.stdout
+    # the finder does refuse scipy: hd95 needs it
+    probe = without_scipy("metrics", "--pred", str(case / "gt.vol"), "--gt", str(case / "gt.vol"))
+    assert probe.returncode != 0 and "No module named 'scipy" in probe.stderr
+
+    assert main([*run_args, "--out-mask", str(tmp_path / "mask_b.vol"),
+                 "--report", str(tmp_path / "report_b.json")]) == 0
+    assert main(["gatekeep", "--logits", str(case / "logits0.vol")]) == 0
+    assert capsys.readouterr().out.endswith(gatekeep.stdout)
+    for a, b in (("mask_a.vol", "mask_b.vol"), ("report_a.json", "report_b.json")):
+        assert (tmp_path / a).read_bytes() == (tmp_path / b).read_bytes()

@@ -4,8 +4,11 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.ndimage import gaussian_filter  # reference oracle for the numpy Gaussian
 
-from segtta import losses
+from segtta import losses, phantom
 from segtta.volume import Volume, sigmoid
 
 SPACING = (1.0, 1.3, 0.8)
@@ -136,6 +139,34 @@ class TestEdgeMap:
     def test_needs_a_channel(self):
         with pytest.raises(ValueError, match="channel"):
             losses.edge_map([])
+
+    @given(dims=st.tuples(*[st.integers(1, 12)] * 3),
+           spacing=st.tuples(*[st.floats(0.1, 3.0)] * 3),
+           sigma_mm=st.sampled_from([0.0, 1e-3, 0.3, 1.0, 5.0]),
+           order=st.sampled_from("CF"),
+           chunk_bytes=st.sampled_from([8, 512, losses.GAUSS_CHUNK_BYTES]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_gaussian_is_scipys_bit_for_bit(self, dims, spacing, sigma_mm, order, chunk_bytes, seed):
+        # the radius exceeds the axis on small grids with large sigmas, a
+        # 1e-3 mm sigma is a one-tap kernel, and sigma 0 skips the axis; small
+        # chunks split the lines of every axis over several passes
+        x = np.asarray(np.random.default_rng(seed).normal(scale=50.0, size=dims), order=order)
+        sigmas = [sigma_mm / s for s in spacing]
+        expected = gaussian_filter(x, sigmas, mode="nearest")
+        got = losses._gaussian_nearest(x, sigmas, chunk_bytes)
+        assert got.shape == expected.shape and got.dtype == np.float64
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    def test_64_cube_phantom_matches_the_scipy_filter(self, monkeypatch):
+        # the refine_64 benchmark case: the edge map keeps every bit of the
+        # one smoothed with scipy.ndimage.gaussian_filter
+        image = phantom.generate(
+            phantom.scenario_spec("under_segmented_matched", 11, dims=(64, 64, 64))).case.image
+        got = losses.edge_map(image)
+        monkeypatch.setattr(losses, "_gaussian_nearest",
+                            lambda x, sigmas: gaussian_filter(x, sigmas, mode="nearest"))
+        assert got.data.tobytes() == losses.edge_map(image).data.tobytes()
 
 
 class TestGeodesic:

@@ -1,4 +1,5 @@
 import dataclasses
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -284,6 +285,32 @@ class TestRunModes:
         with pytest.raises(ValueError, match="workers must be >= 1"):
             run_modes([clean.case], MODES, quick_cfg(), workers=workers)
 
+    def test_pool_is_capped_at_the_usable_cpus(self, clean, island, monkeypatch):
+        import segtta.pipeline as pl
+
+        sizes = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(pl, "ThreadPoolExecutor", Recording)
+        cases = [island.case, clean.case]
+        cfg = PipelineConfig(protocol=OptimizerProtocol(steps=40))
+        one, many = (run_modes(cases, MODES, cfg, workers=w) for w in (1, 64))
+        cpus = pl._usable_cpus()
+        assert sizes == [min(2, cpus), cpus]
+        for mode in MODES:
+            for a, b in zip(one[mode], many[mode]):
+                assert (fileio.dumps_report(a, include_timings=False)
+                        == fileio.dumps_report(b, include_timings=False))
+                assert a.final_mask.data.tobytes() == b.final_mask.data.tobytes()
+        monkeypatch.setattr(pl, "_usable_cpus", lambda: 3)
+        run_modes([clean.case], ["only_compact"], cfg, workers=64)
+        run_modes([clean.case], ["no_gatekeeper"], dataclasses.replace(cfg, parallel_hypotheses=False))
+        assert sizes[2:] == [3, 1]
+
 
 BAD_CONFIGS = [
     (OptimizerProtocol, dict(steps=-3)),
@@ -321,6 +348,13 @@ BAD_CONFIGS = [
     (CompactWeights, dict(lambda_tv=True)),
     (CompactWeights, dict(lambda_tv="1")),
     (GateThresholds, dict(unc_max=True)),
+    # each pipeline field is an instance of its declared class
+    (PipelineConfig, dict(protocol=None)),
+    (PipelineConfig, dict(gate=None)),
+    (PipelineConfig, dict(edge={"sigma_mm": 1.0})),
+    (PipelineConfig, dict(compact=DiffuseWeights())),
+    (PipelineConfig, dict(parallel_hypotheses="false")),
+    (PipelineConfig, dict(parallel_hypotheses=1)),
 ]
 
 
@@ -330,6 +364,12 @@ class TestConfigValidation:
     def test_out_of_range_rejected(self, cls, kwargs):
         with pytest.raises(ValueError):
             cls(**kwargs)
+
+    def test_pipeline_config_error_names_the_field(self):
+        with pytest.raises(ValueError, match="^protocol must be of type OptimizerProtocol, got None$"):
+            PipelineConfig(protocol=None)
+        with pytest.raises(ValueError, match="^parallel_hypotheses must be of type bool, got 'false'$"):
+            PipelineConfig(parallel_hypotheses="false")
 
     def test_boundary_values_accepted(self):
         OptimizerProtocol(steps=0, beta1=0.0)
