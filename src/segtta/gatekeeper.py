@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import Volume, finite_real, integer, require
+from .volume import Volume, check_fields, require
 
 
 @dataclass(frozen=True)
@@ -23,13 +23,9 @@ class GateThresholds:
     unc_max: float = 0.05     # flagged when the band fraction exceeds this (strict >)
 
     def __post_init__(self):
-        require(integer(self.vol_min) and self.vol_min >= 0,
-                f"vol_min must be an integer >= 0, got {self.vol_min!r}")
-        require(finite_real(self.unc_lo) and finite_real(self.unc_hi)
-                and 0.0 <= self.unc_lo < self.unc_hi <= 1.0,
-                f"need 0 <= unc_lo < unc_hi <= 1, got unc_lo={self.unc_lo!r}, unc_hi={self.unc_hi!r}")
-        require(finite_real(self.unc_max) and 0.0 <= self.unc_max <= 1.0,
-                f"unc_max must lie in [0, 1], got {self.unc_max!r}")
+        check_fields(self, vol_min=">= 0", unc_lo="in [0, 1]", unc_hi="in [0, 1]", unc_max="in [0, 1]")
+        require(self.unc_lo < self.unc_hi,
+                f"need unc_lo < unc_hi, got unc_lo={self.unc_lo!r}, unc_hi={self.unc_hi!r}")
 
 
 @dataclass(frozen=True)

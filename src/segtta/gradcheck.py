@@ -18,7 +18,7 @@ import numpy as np
 
 from . import losses
 from .phantom import standard_normals
-from .volume import Volume, along, require, require_dims, sigmoid
+from .volume import Volume, along, require, sigmoid
 
 FD_STEP = 1e-5
 KINK_CUTOFF = 1e-4
@@ -126,7 +126,9 @@ ALL_TERMS = ("entropy", "tv", "gravity", "geodesic", "inflation", "anchor", "com
 def check_all(seed: int = 0, volumes: int = 20, dims=(4, 4, 4)) -> dict[str, GradCheckResult]:
     """Worst relative error per term over ``volumes`` independent random volumes."""
     require(volumes >= 1, f"volumes must be >= 1, got {volumes!r}")
-    require_dims(dims)
+    require(isinstance(dims, tuple) and len(dims) == 3
+            and all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in dims),
+            f"dims must be three integers >= 1, got {dims!r}")
     out: dict[str, GradCheckResult] = {}
     for term in ALL_TERMS:
         max_err = 0.0

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .volume import (Spacing, Volume, along, axis_coords, finite_real, require, require_same_grid,
+from .volume import (Spacing, Volume, along, axis_coords, check_fields, require_same_grid,
                      sigmoid_into)
 
 # Charbonnier smoothing of |.| in the TV/geodesic terms and the mass guard in
@@ -60,7 +60,7 @@ class CompactWeights:
     lambda_anc: float = 50.0
 
     def __post_init__(self):
-        _require_finite_nonnegative(self)
+        check_fields(self, **dict.fromkeys(vars(self), ">= 0"))
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class DiffuseWeights:
     lambda_anc: float = 0.1
 
     def __post_init__(self):
-        _require_finite_nonnegative(self)
+        check_fields(self, **dict.fromkeys(vars(self), ">= 0"))
 
 
 @dataclass(frozen=True)
@@ -86,12 +86,7 @@ class EdgeMapConfig:
     alpha: float = 10.0
 
     def __post_init__(self):
-        _require_finite_nonnegative(self)
-
-
-def _require_finite_nonnegative(cfg) -> None:
-    for field, value in vars(cfg).items():
-        require(finite_real(value) and value >= 0.0, f"{field} must be finite and >= 0, got {value!r}")
+        check_fields(self, **dict.fromkeys(vars(self), ">= 0"))
 
 
 # ---------------------------------------------------------------------------

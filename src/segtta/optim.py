@@ -24,7 +24,7 @@ from typing import Literal
 import numpy as np
 
 from . import losses
-from .volume import Case, Volume, finite_real, integer, require
+from .volume import Case, Volume, check_fields
 
 HypothesisName = Literal["compact", "diffuse"]
 
@@ -45,14 +45,7 @@ class OptimizerProtocol:
     eps_adam: float = 1e-8
 
     def __post_init__(self):
-        require(integer(self.steps) and self.steps >= 0,
-                f"steps must be an integer >= 0, got {self.steps!r}")
-        for name in ("lr", "eps_adam"):
-            value = getattr(self, name)
-            require(finite_real(value) and value > 0.0, f"{name} must be finite and > 0, got {value!r}")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            require(finite_real(value) and 0.0 <= value < 1.0, f"{name} must lie in [0, 1), got {value!r}")
+        check_fields(self, lr="> 0", steps=">= 0", beta1="in [0, 1)", beta2="in [0, 1)", eps_adam="> 0")
 
 
 @dataclass

@@ -41,12 +41,12 @@ where v enumerates voxels in the canonical x-fastest order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .volume import Case, Mask, Spacing, Volume, axis_coords, finite_real, require, require_dims
+from .volume import Case, Mask, Volume, axis_coords, check_fields
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -125,17 +125,22 @@ def standard_normals(seed: int, start_counter: int, count: int) -> np.ndarray:
     return out
 
 
-# how PhantomSpec.__post_init__ checks its fields: each in _TUPLE_LENGTHS as a
-# tuple of that many finite reals, each in _OPTIONAL may also be None, those
-# in _CHECKED_APART have checks of their own, and every other one is one
-# finite real
-_TUPLE_LENGTHS = {"spacing": 3, "center_mm": 3, "radii_mm": 3, "shell_scales": 2, "island_offset_mm": 3}
-_OPTIONAL = ("center_mm", "background_confidence")
-_CHECKED_APART = ("scenario", "seed", "channels", "dims", "fragment_offsets_mm")
-
-
-def _reals(t, n: int) -> bool:
-    return isinstance(t, tuple) and len(t) == n and all(map(finite_real, t))
+# fixed parts of every phantom (docs/phantoms.md)
+SPACING = (0.25, 0.25, 0.25)     # mm
+TUMOR_MEAN = 1.0                 # image intensities
+TUMOR_STD = 0.02
+BACKGROUND_MEAN = 0.45
+BACKGROUND_STD = 0.02
+UNCERTAIN_LOGIT = 0.6            # interior low-confidence band (noise_island)
+UNCERTAIN_CORE_SCALE = 0.45      # that band fills rho < this
+SHRINK_MARGIN_MM = 0.875         # under-segmentation erosion depth
+BAND_MARGIN_MM = 0.5             # uncertain band depth inside the eroded edge
+BAND_LOGIT = 0.5
+ISLAND_RADIUS_MM = 1.0
+ISLAND_HALO_WIDTH_MM = 0.6       # moderate-logit transition ring around the island
+ISLAND_HALO_LOGIT = -0.5
+FRAGMENT_RADIUS_MM = 0.6
+FRAGMENT_OFFSETS_MM = ((-2.0, -2.0, 0.0), (2.0, 1.5, 0.5), (0.0, 2.25, -1.5))
 
 
 @dataclass(frozen=True)
@@ -146,67 +151,30 @@ class PhantomSpec:
     scenario: str
     seed: int
     dims: tuple[int, int, int] = (32, 32, 32)
-    spacing: Spacing = (0.25, 0.25, 0.25)
     center_mm: tuple[float, float, float] | None = None  # default: grid center
     radii_mm: tuple[float, float, float] = (3.0, 3.0, 3.0)
     channels: int = 1
-    # intensity model
-    tumor_mean: float = 1.0
-    tumor_std: float = 0.02
-    background_mean: float = 0.45
-    background_std: float = 0.02
     edge_contrast: float = 0.0                 # brightness bump of the shell ring
     shell_scales: tuple[float, float] = (1.0, 1.3)  # shell spans these rho values
-    # logit corruption
+    # logits are +confidence_scale inside the tumor and -confidence_scale outside
     confidence_scale: float = 4.0
-    background_confidence: float | None = None  # default: confidence_scale
-    boundary_softness_mm: float = 0.0          # 0 = hard logit step at the tumor surface
-    uncertain_logit: float = 0.6               # interior low-confidence band (noise_island)
-    uncertain_core_scale: float = 0.45         # that band fills rho < this
-    shrink_margin_mm: float = 0.875            # under-segmentation erosion depth
-    band_margin_mm: float = 0.5                # uncertain band depth inside the eroded edge
-    band_logit: float = 0.5
     rim_logit: float = -0.3
-    rim_offset_sigma: float = 0.0              # rim image shift in units of tumor_std
+    rim_offset_sigma: float = 0.0              # rim image shift in units of TUMOR_STD
     island_offset_mm: tuple[float, float, float] = (5.4, 0.0, 0.0)
-    island_radius_mm: float = 1.0
-    island_halo_width_mm: float = 0.6          # moderate-logit transition ring around the island
-    island_halo_logit: float = -0.5
     leak_band_width_mm: float = 0.0            # weakly-edged adjacent tissue ring outside the tumor
     leak_band_logit: float = -2.0
-    leak_band_offset_sigma: float = 5.0        # its image shift in units of tumor_std
-    fragment_radius_mm: float = 0.6
-    fragment_offsets_mm: tuple[tuple[float, float, float], ...] = (
-        (-2.0, -2.0, 0.0),
-        (2.0, 1.5, 0.5),
-        (0.0, 2.25, -1.5),
-    )
+    leak_band_offset_sigma: float = 5.0        # its image shift in units of TUMOR_STD
 
     def __post_init__(self):
+        check_fields(self, dims=">= 1", radii_mm="> 0", channels=">= 1", confidence_scale="> 0")
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
-        for name in ("seed", "channels"):
-            value = getattr(self, name)
-            require(isinstance(value, int) and not isinstance(value, bool),
-                    f"{name} must be an integer, got {value!r}")
-        require_dims(self.dims)
-        require(isinstance(self.fragment_offsets_mm, tuple)
-                and all(_reals(o, 3) for o in self.fragment_offsets_mm),
-                f"fragment_offsets_mm must be triples of finite numbers, got {self.fragment_offsets_mm!r}")
-        for f in fields(self):
-            name, value = f.name, getattr(self, f.name)
-            if name in _CHECKED_APART or (value is None and name in _OPTIONAL):
-                continue
-            n = _TUPLE_LENGTHS.get(name)
-            require(finite_real(value) if n is None else _reals(value, n),
-                    f"{name} must be {'a finite number' if n is None else f'{n} finite numbers'}, "
-                    f"got {value!r}")
 
     @property
     def center(self) -> tuple[float, float, float]:
         if self.center_mm is not None:
             return self.center_mm
-        return tuple((n - 1) * s / 2.0 for n, s in zip(self.dims, self.spacing))
+        return tuple((n - 1) * s / 2.0 for n, s in zip(self.dims, SPACING))
 
 
 @dataclass(frozen=True)
@@ -270,7 +238,7 @@ def _sphere_mask(axes, center, radius) -> np.ndarray:
 
 def _check_fit(spec: PhantomSpec, center, radii, what: str) -> None:
     for axis, (c, r) in enumerate(zip(center, radii)):
-        n, s = spec.dims[axis], spec.spacing[axis]
+        n, s = spec.dims[axis], SPACING[axis]
         if c - r < 2.0 * s or c + r > (n - 3) * s:
             raise GeometryError(
                 f"{what} does not fit axis {axis} with a 2-voxel margin: "
@@ -280,60 +248,50 @@ def _check_fit(spec: PhantomSpec, center, radii, what: str) -> None:
 
 def generate(spec: PhantomSpec) -> GeneratedPhantom:
     """Build (case, ground truth, annotations) from the spec, bit-reproducibly."""
-    dims, spacing = spec.dims, spec.spacing
-    axes = axis_coords(tuple(dims), tuple(spacing))
-    # floats, so that the logits are float64 even when these fields are ints
-    conf = float(spec.confidence_scale)
-    bg_conf = float(spec.background_confidence) if spec.background_confidence is not None else conf
+    dims, conf = spec.dims, spec.confidence_scale
+    axes = axis_coords(dims, SPACING)
 
     island = halo = rim = uncertain = beyond_shell = leak_band = None
 
     if spec.scenario == "fragmented_small":
         gt = np.zeros(dims, dtype=bool)
-        for off in spec.fragment_offsets_mm:
+        for off in FRAGMENT_OFFSETS_MM:
             c = tuple(ci + oi for ci, oi in zip(spec.center, off))
-            _check_fit(spec, c, (spec.fragment_radius_mm,) * 3, "fragment")
-            gt |= _sphere_mask(axes, c, spec.fragment_radius_mm)
-        logits = np.where(gt, conf, -bg_conf)
+            _check_fit(spec, c, (FRAGMENT_RADIUS_MM,) * 3, "fragment")
+            gt |= _sphere_mask(axes, c, FRAGMENT_RADIUS_MM)
+        logits = np.where(gt, conf, -conf)
         rho2 = None
     else:
         _check_fit(spec, spec.center, spec.radii_mm, "tumor")
         rho2 = _ellipsoid_rho2(axes, spec.center, spec.radii_mm)
         gt = rho2 < 1.0
-        if spec.boundary_softness_mm > 0.0:
-            # soft ramp across the surface, like a real backbone's logit decay;
-            # exact signed distance for spheres, radial approximation otherwise
-            r_ref = min(spec.radii_mm)
-            t = np.clip((1.0 - np.sqrt(rho2)) * r_ref / spec.boundary_softness_mm, -1.0, 1.0)
-            logits = np.where(t >= 0, conf * t, bg_conf * t)
-        else:
-            logits = np.where(gt, conf, -bg_conf)
+        logits = np.where(gt, conf, -conf)
 
         if spec.scenario == "noise_island":
-            uncertain = rho2 < spec.uncertain_core_scale**2
-            logits[uncertain] = spec.uncertain_logit
+            uncertain = rho2 < UNCERTAIN_CORE_SCALE**2
+            logits[uncertain] = UNCERTAIN_LOGIT
             island_center = tuple(c + o for c, o in zip(spec.center, spec.island_offset_mm))
-            halo_r = spec.island_radius_mm + spec.island_halo_width_mm
+            halo_r = ISLAND_RADIUS_MM + ISLAND_HALO_WIDTH_MM
             _check_fit(spec, island_center, (halo_r,) * 3, "island (with halo)")
-            island = _sphere_mask(axes, island_center, spec.island_radius_mm)
+            island = _sphere_mask(axes, island_center, ISLAND_RADIUS_MM)
             if (island & gt).any():
                 raise GeometryError("island overlaps the tumor; increase the offset")
             # real logits decay smoothly around an artifact: a sub-threshold
             # transition ring (not predicted, so it adds no false positives)
             halo = _sphere_mask(axes, island_center, halo_r) & ~island & ~gt
-            logits[halo] = spec.island_halo_logit
+            logits[halo] = ISLAND_HALO_LOGIT
             logits[island] = conf
         elif spec.scenario in ("under_segmented_matched", "under_segmented_mismatched"):
-            inner_r = tuple(r - spec.shrink_margin_mm for r in spec.radii_mm)
-            band_r = tuple(r - spec.band_margin_mm for r in inner_r)
+            inner_r = tuple(r - SHRINK_MARGIN_MM for r in spec.radii_mm)
+            band_r = tuple(r - BAND_MARGIN_MM for r in inner_r)
             if min(band_r) <= 0:
                 raise GeometryError("shrink and band margins consume the whole tumor")
             eroded = _ellipsoid_rho2(axes, spec.center, inner_r) < 1.0
             core = _ellipsoid_rho2(axes, spec.center, band_r) < 1.0
             rim = gt & ~eroded
             uncertain = eroded & ~core
-            logits = np.where(gt, spec.rim_logit, -bg_conf)
-            logits[uncertain] = spec.band_logit
+            logits = np.where(gt, spec.rim_logit, -conf)
+            logits[uncertain] = BAND_LOGIT
             logits[core] = conf
 
         if spec.leak_band_width_mm > 0.0:
@@ -352,18 +310,17 @@ def generate(spec: PhantomSpec) -> GeneratedPhantom:
 
     # image: uniform tumor / background intensities, optional rim shift and
     # bright shell ring, plus per-channel counter-addressed Gaussian noise
-    base = np.where(gt, spec.tumor_mean, spec.background_mean)
+    base = np.where(gt, TUMOR_MEAN, BACKGROUND_MEAN)
     if rim is not None and spec.rim_offset_sigma != 0.0:
-        base = base + np.where(rim, spec.rim_offset_sigma * spec.tumor_std, 0.0)
+        base = base + np.where(rim, spec.rim_offset_sigma * TUMOR_STD, 0.0)
     if leak_band is not None:
-        base = np.where(leak_band,
-                        spec.tumor_mean + spec.leak_band_offset_sigma * spec.tumor_std, base)
+        base = np.where(leak_band, TUMOR_MEAN + spec.leak_band_offset_sigma * TUMOR_STD, base)
     if spec.edge_contrast != 0.0 and rho2 is not None:
         lo, hi = spec.shell_scales
         shell = (rho2 >= lo * lo) & (rho2 < hi * hi)
         base = base + np.where(shell, spec.edge_contrast, 0.0)
         beyond_shell = rho2 >= hi * hi
-    std_field = np.where(gt, spec.tumor_std, spec.background_std)
+    std_field = np.where(gt, TUMOR_STD, BACKGROUND_STD)
 
     nvox = int(np.prod(dims))
     channels = []
@@ -374,14 +331,14 @@ def generate(spec: PhantomSpec) -> GeneratedPhantom:
             standard_normals(spec.seed, 2 * ch * nvox, nvox).reshape(dims, order="F"))
         image *= std_field
         image += base
-        channels.append(Volume(image, spacing))
+        channels.append(Volume(image, SPACING))
 
     case = Case(
         image=tuple(channels),
-        logits0=Volume(logits, spacing),
+        logits0=Volume(logits, SPACING),
         case_id=f"{spec.scenario}-{spec.seed}",
     )
-    as_mask = lambda arr: Mask(arr, spacing) if arr is not None else None
+    as_mask = lambda arr: Mask(arr, SPACING) if arr is not None else None
     ann = PhantomAnnotations(
         scenario=spec.scenario,
         expected_flagged=spec.scenario != "clean_confident",
@@ -392,7 +349,7 @@ def generate(spec: PhantomSpec) -> GeneratedPhantom:
         uncertain=as_mask(uncertain),
         beyond_shell=as_mask(beyond_shell),
     )
-    return GeneratedPhantom(case=case, gt=Mask(gt, spacing), annotations=ann)
+    return GeneratedPhantom(case=case, gt=Mask(gt, SPACING), annotations=ann)
 
 
 def cohort(specs: Iterable[PhantomSpec]) -> list[GeneratedPhantom]:

@@ -16,12 +16,12 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Sequence, get_type_hints
+from typing import NamedTuple, Sequence
 
 from . import losses, optim
 from .gatekeeper import GateThresholds, GateVerdict, gate
 from .selector import SelectionResult, SelectorConfig, select
-from .volume import Case, Mask, require, sigmoid, threshold
+from .volume import Case, Mask, check_fields, sigmoid, threshold
 
 
 class Mode(NamedTuple):
@@ -54,13 +54,9 @@ class PipelineConfig:
     parallel_hypotheses: bool = True  # a pool thread per hypothesis per worker
 
     def __post_init__(self):
+        check_fields(self)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        # each field is an instance of its declared class, so a None or a
-        # string fails here, not later in a pool thread (a bool is not an int)
-        for name, cls in get_type_hints(PipelineConfig).items():
-            value = getattr(self, name)
-            require(isinstance(value, cls), f"{name} must be of type {cls.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)

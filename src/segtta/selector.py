@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .volume import (Case, Mask, Volume, finite_real, mask_stats, require, require_same_grid, sigmoid,
+from .volume import (Case, Mask, Volume, check_fields, mask_stats, require_same_grid, sigmoid,
                      threshold)
 
 
@@ -27,12 +27,7 @@ class SelectorConfig:
     eps: float = 1e-6               # guard on sigma_core, in intensity units
 
     def __post_init__(self):
-        for name in ("core_threshold", "accept_threshold"):
-            value = getattr(self, name)
-            require(finite_real(value) and 0.0 <= value <= 1.0, f"{name} must lie in [0, 1], got {value!r}")
-        for name in ("gamma", "eps"):
-            value = getattr(self, name)
-            require(finite_real(value) and value > 0.0, f"{name} must be finite and > 0, got {value!r}")
+        check_fields(self, core_threshold="in [0, 1]", accept_threshold="in [0, 1]", gamma="> 0", eps="> 0")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -111,21 +111,72 @@ def require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def finite_real(x) -> bool:
-    """Whether ``x`` is a finite real number; a bool is not one."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+# the ranges a config field can be bounded to, keyed by their wording
+_BOUNDS = {
+    None: lambda x: True,
+    ">= 0": lambda x: x >= 0,
+    ">= 1": lambda x: x >= 1,
+    "> 0": lambda x: x > 0,
+    "in [0, 1]": lambda x: 0 <= x <= 1,
+    "in [0, 1)": lambda x: 0 <= x < 1,
+}
+_INVALID = object()
 
 
-def integer(x) -> bool:
-    """Whether ``x`` is an integer (numpy's too); a bool is not one."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+@lru_cache(maxsize=None)
+def _hints(cls) -> tuple:
+    return tuple(get_type_hints(cls).items())
 
 
-def require_dims(dims) -> None:
-    """Raise ValueError unless ``dims`` is a tuple of three ints >= 1 (not bool)."""
-    require(isinstance(dims, tuple) and len(dims) == 3
-            and all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in dims),
-            f"dims must be three integers >= 1, got {dims!r}")
+def check_fields(obj, **bounds: str) -> None:
+    """Check each field of the frozen dataclass ``obj`` against its type hint,
+    and store each number as its declared type, so that a numpy scalar
+    serializes like a Python one.
+
+    ``int`` takes an integer, ``float`` a finite real, neither of them a bool;
+    a fixed-length ``tuple[...]`` is checked element by element; ``X | None``
+    takes None too; any other class (bool, str, a config) its instances.
+    ``bounds`` maps a field to a key of ``_BOUNDS``, the range its number, or
+    each number of its tuple, must lie in.  Raises ValueError naming the field.
+    """
+    for name, hint in _hints(type(obj)):
+        value, bound = getattr(obj, name), bounds.get(name)
+        stored = _conform(value, hint, _BOUNDS[bound])
+        if stored is _INVALID:
+            raise ValueError(f"{name} must be {_wording(hint, bound)}, got {value!r}")
+        if stored is not value:
+            object.__setattr__(obj, name, stored)
+
+
+def _conform(value, hint, within):
+    """``value`` as ``hint`` declares it, or _INVALID."""
+    if hint is int or hint is float:
+        ok = not isinstance(value, bool) and (
+            isinstance(value, numbers.Integral) if hint is int
+            else isinstance(value, numbers.Real) and math.isfinite(value))
+        return hint(value) if ok and within(value) else _INVALID
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, tuple) or len(value) != len(args):
+            return _INVALID
+        items = tuple(_conform(v, a, within) for v, a in zip(value, args))
+        return _INVALID if any(v is _INVALID for v in items) else items
+    if args:  # X | None
+        return None if value is None else _conform(value, args[0], within)
+    return value if isinstance(value, hint) else _INVALID
+
+
+def _wording(hint, bound: str | None) -> str:
+    if hint is int:
+        return f"an integer {bound}" if bound else "an integer"
+    if hint is float:
+        return f"finite and {bound}" if bound else "a finite number"
+    args = get_args(hint)
+    if get_origin(hint) is tuple:  # the configs' tuples are homogeneous
+        return f"{len(args)} values, each {_wording(args[0], bound)}"
+    if args:
+        return f"None or {_wording(args[0], bound)}"
+    return f"of type {hint.__name__}"
 
 
 def require_same_grid(a, b, what: str = "operands") -> None:

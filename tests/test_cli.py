@@ -200,22 +200,28 @@ class TestOtherCommands:
         for vol in ("image_c00.vol", "logits0.vol", "gt.vol", "uncertain.vol", "halo.vol"):
             assert (tmp_path / "int" / vol).read_bytes() == (tmp_path / "float" / vol).read_bytes()
 
-    @pytest.mark.parametrize("edit", [
-        lambda spec: [],
-        lambda spec: {"seed": 1},
-        lambda spec: dict(spec, seed="x"),
-        lambda spec: dict(spec, channels="2"),
-        lambda spec: dict(spec, dims=[8.5, 8, 8]),
-        lambda spec: dict(spec, radii_mm="abc"),
-        lambda spec: dict(spec, tumor_std="0.1"),
+    @pytest.mark.parametrize("edit, named", [
+        (lambda spec: [], "spec"),
+        (lambda spec: {"seed": 1}, "scenario"),
+        (lambda spec: dict(spec, seed="x"), "seed"),
+        (lambda spec: dict(spec, channels="2"), "channels"),
+        (lambda spec: dict(spec, dims=[8.5, 8, 8]), "dims"),
+        (lambda spec: dict(spec, radii_mm="abc"), "radii_mm"),
+        (lambda spec: dict(spec, rim_offset_sigma="0.1"), "rim_offset_sigma"),
+        (lambda spec: dict(spec, channels=0), "channels"),
+        (lambda spec: dict(spec, radii_mm=[3.0, 0, 3.0]), "radii_mm"),
+        (lambda spec: dict(spec, radii_mm=[3.0, -3.0, 3.0]), "radii_mm"),
+        (lambda spec: dict(spec, confidence_scale=-4), "confidence_scale"),
     ], ids=["list", "missing-scenario", "string-seed", "string-channels",
-            "fractional-dims", "string-radii", "string-std"])
-    def test_bad_spec_exits_1(self, tmp_path, capsys, edit):
+            "fractional-dims", "string-radii", "string-std", "zero-channels",
+            "zero-radius", "negative-radius", "negative-confidence"])
+    def test_bad_spec_exits_1(self, tmp_path, capsys, edit, named):
         spec = json.loads(fileio.spec_to_json(phantom.scenario_spec("fragmented_small", seed=9)))
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(edit(spec)))
         assert main(["phantom", "--spec", str(spec_path), "--out", str(tmp_path / "case")]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
 
     def test_gradcheck_passes(self, capsys):
         assert main(["gradcheck", "--seed", "0", "--volumes", "2"]) == 0
@@ -404,7 +410,8 @@ def test_commands_without_hd95_run_without_scipy(tmp_path, capsys):
     assert "OK: all gradients within" in done.stdout
     # the finder does refuse scipy: hd95 needs it
     probe = without_scipy("metrics", "--pred", str(case / "gt.vol"), "--gt", str(case / "gt.vol"))
-    assert probe.returncode != 0 and "No module named 'scipy" in probe.stderr
+    assert probe.returncode == 1 and "No module named 'scipy" in probe.stderr
+    assert probe.stderr.startswith("error: ") and "Traceback" not in probe.stderr
 
     assert main([*run_args, "--out-mask", str(tmp_path / "mask_b.vol"),
                  "--report", str(tmp_path / "report_b.json")]) == 0

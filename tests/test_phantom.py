@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from segtta import phantom
+from segtta import fileio, phantom
 from segtta.gatekeeper import gate
 from segtta.phantom import (
     GeometryError,
@@ -158,7 +158,7 @@ class TestGenerate:
         spec = scenario_spec(scenario, seed=5, **overrides)
         as_ints = dataclasses.replace(spec, **{
             f.name: _ints_where_integral(getattr(spec, f.name)) for f in dataclasses.fields(spec)})
-        assert type(as_ints.confidence_scale) is int
+        assert as_ints == spec and fileio.spec_to_json(as_ints) == fileio.spec_to_json(spec)
         assert phantom_bytes(generate(as_ints)) == phantom_bytes(generate(spec))
 
     def test_seed_changes_noise_not_geometry(self):
@@ -222,7 +222,7 @@ class TestScenarioGuarantees:
         rim = gm.annotations.rim.data
         spec = scenario_spec("under_segmented_mismatched", seed=6)
         shift = (gx.case.image[0].data[rim] - gm.case.image[0].data[rim]).mean()
-        assert shift == pytest.approx(spec.rim_offset_sigma * spec.tumor_std, rel=1e-9)
+        assert shift == pytest.approx(spec.rim_offset_sigma * phantom.TUMOR_STD, rel=1e-9)
 
     def test_fragmented_small_trips_volume_trigger(self):
         g = generate(scenario_spec("fragmented_small", seed=8))
@@ -235,8 +235,8 @@ class TestScenarioGuarantees:
         z = g.case.logits0.data
         spec = scenario_spec("noise_island", seed=2)
         assert np.all(z[g.annotations.island.data] == spec.confidence_scale)
-        assert np.all(z[g.annotations.uncertain.data] == spec.uncertain_logit)
-        assert np.all(z[g.annotations.halo.data] == spec.island_halo_logit)
+        assert np.all(z[g.annotations.uncertain.data] == phantom.UNCERTAIN_LOGIT)
+        assert np.all(z[g.annotations.halo.data] == phantom.ISLAND_HALO_LOGIT)
         assert np.all(z[g.annotations.leak_band.data] == spec.leak_band_logit)
 
 

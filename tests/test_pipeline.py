@@ -1,5 +1,6 @@
 import dataclasses
 from concurrent.futures import ThreadPoolExecutor
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -376,3 +377,80 @@ class TestConfigValidation:
         GateThresholds(vol_min=0, unc_lo=0.0, unc_hi=1.0, unc_max=1.0)
         EdgeMapConfig(sigma_mm=0.0, alpha=0.0)
         SelectorConfig(core_threshold=0.0, accept_threshold=1.0)
+
+
+CONFIG_CLASSES = [GateThresholds, CompactWeights, DiffuseWeights, EdgeMapConfig, OptimizerProtocol,
+                  SelectorConfig, PipelineConfig, phantom.PhantomSpec]
+CONFIG_FIELDS = [(cls, name) for cls in CONFIG_CLASSES for name in get_type_hints(cls)]
+
+
+def example(cls):
+    """A valid instance of a config class, with every optional field set."""
+    if cls is phantom.PhantomSpec:
+        return phantom.scenario_spec("noise_island", seed=3)
+    return cls()
+
+
+def numbers_as(value, int_type, float_type):
+    """``value`` with each int as ``int_type`` and each float as
+    ``float_type``, inside tuples and nested configs too."""
+    if dataclasses.is_dataclass(value):
+        return type(value)(**{f.name: numbers_as(getattr(value, f.name), int_type, float_type)
+                              for f in dataclasses.fields(value)})
+    if isinstance(value, tuple):
+        return tuple(numbers_as(v, int_type, float_type) for v in value)
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.number)):
+        return value
+    return int_type(value) if isinstance(value, (int, np.integer)) else float_type(value)
+
+
+def python_float32(x):
+    return float(np.float32(x))
+
+
+NUMPY_NUMBERS, PYTHON_NUMBERS = (np.int64, np.float32), (int, python_float32)
+
+
+class TestCheckFields:
+    """Every config class checks its fields by their declared types, and
+    stores numbers as Python ints and floats."""
+
+    @pytest.mark.parametrize("cls, name", CONFIG_FIELDS,
+                             ids=[f"{cls.__name__}.{name}" for cls, name in CONFIG_FIELDS])
+    def test_field_rejects_a_bool_a_string_and_none(self, cls, name):
+        base = {f.name: getattr(example(cls), f.name) for f in dataclasses.fields(cls)}
+        hint = get_type_hints(cls)[name]
+        for bad in (True, "1", None):
+            if hint is type(bad):  # a bool field takes True, a str field "1"
+                continue
+            if bad is None and name == "center_mm":  # the one optional field
+                assert cls(**dict(base, center_mm=None)).center_mm is None
+                continue
+            with pytest.raises(ValueError, match=f"^{name} must be .*, got {bad!r}$"):
+                cls(**dict(base, **{name: bad}))
+
+    @pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=[cls.__name__ for cls in CONFIG_CLASSES])
+    def test_numpy_numbers_are_stored_as_python_numbers(self, cls):
+        def types(value):
+            return tuple(map(types, value)) if isinstance(value, tuple) else type(value)
+
+        python = numbers_as(example(cls), *PYTHON_NUMBERS)
+        from_numpy = numbers_as(example(cls), *NUMPY_NUMBERS)
+        assert from_numpy == python
+        for f in dataclasses.fields(cls):
+            assert types(getattr(from_numpy, f.name)) == types(getattr(python, f.name))
+
+    def test_numpy_typed_config_gives_the_same_report(self):
+        # np.int64 and np.float32 fields once reached the report and the
+        # spec file, which json.dumps cannot write
+        spec = phantom.scenario_spec("noise_island", seed=3)
+        case = phantom.generate(spec).case
+        cfg = PipelineConfig(protocol=OptimizerProtocol(steps=3))
+        reports = [fileio.dumps_report(run_case(case, numbers_as(cfg, *numbers)), include_timings=False)
+                   for numbers in (NUMPY_NUMBERS, PYTHON_NUMBERS)]
+        assert reports[0] == reports[1]
+        specs = [numbers_as(spec, *numbers) for numbers in (NUMPY_NUMBERS, PYTHON_NUMBERS)]
+        assert fileio.spec_to_json(specs[0]) == fileio.spec_to_json(specs[1])
+        cases = [phantom.generate(s).case for s in specs]
+        assert cases[0].logits0.data.tobytes() == cases[1].logits0.data.tobytes()
+        assert cases[0].image[0].data.tobytes() == cases[1].image[0].data.tobytes()
