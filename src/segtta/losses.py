@@ -16,6 +16,12 @@ folded into a pass it already makes, and the objective multiplies by the chain
 factor once before it adds the anchor's logit-space gradient.  A public
 ``*_term`` function is the objective of that term alone, at weight 1.
 
+The evaluator is cache-blocked: it works through slabs of axis-0 planes
+(:func:`volume.slab_planes`), so only P, the accumulator and the face
+weights are full-grid, and its scratch arrays hold one slab.  The gradient
+keeps every bit of a whole-grid pass at any slab thickness; the value's sums
+are added up slab by slab, which moves only its last bits.
+
 An evaluator called with ``value=False`` returns the gradient only: each
 kernel skips the operations that serve its value alone, and the gradient is
 bit-identical to the one ``value=True`` returns.
@@ -26,12 +32,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .volume import (Spacing, Volume, along, axis_coords, check_fields, require_same_grid,
-                     sigmoid_into)
+                     sigmoid_into, slab_planes)
 
 # Charbonnier smoothing of |.| in the TV/geodesic terms and the mass guard in
 # the gravity weights.
@@ -94,24 +100,112 @@ class EdgeMapConfig:
 # ---------------------------------------------------------------------------
 
 
-class _Workspace:
-    """The full-grid buffers one objective reuses on every call: P, the chain
-    factor, the gradient accumulator and two scratch arrays, plus the current
-    logits ``z``, the anchor logits ``z0`` and the voxel count ``n``."""
+class _Faces(NamedTuple):
+    """One axis of one slab's face loop, as views of flat C-ordered buffers,
+    where a step along the axis is a shift by its stride st.  The scratch
+    views ``d`` and ``root`` cover the slab and, below it, the halo: the st
+    entries whose u the adjoint reads into the slab's first st entries."""
 
-    def __init__(self, z0: np.ndarray):
-        self.z0, self.n = z0, z0.size
-        self.p, self.pq, self.grad, self.a, self.b = (np.empty(z0.shape) for _ in range(5))
+    ahead: np.ndarray       # P one stride on from ``here``
+    here: np.ndarray
+    diff: np.ndarray        # the part of d that the difference writes
+    zeroed: tuple[np.ndarray, ...]  # parts of d in the axis's final slab
+    d: np.ndarray
+    root: np.ndarray
+    root_own: np.ndarray    # root without the halo, for the value
+    w_own: np.ndarray | None  # face weights of root_own and of d
+    w: np.ndarray | None
+    grad_own: np.ndarray    # the slab's accumulator, less d_own
+    d_own: np.ndarray
+    grad_next: np.ndarray   # the accumulator one stride on, plus d_prev
+    d_prev: np.ndarray
+
+
+def _face_views(p: np.ndarray, grad: np.ndarray, a: np.ndarray, b: np.ndarray, s: slice,
+                face_w: Sequence[np.ndarray] | None) -> tuple[_Faces, ...]:
+    # The slab is planes [lo, hi).  A shifted pair that wraps past the end of
+    # an axis lands in that axis's final slab, which is zeroed; in the adjoint
+    # such an entry adds that zero times its face weight, which changes no
+    # value (it can only turn a -0.0 into +0.0).  The halo is all of plane
+    # lo - 1 along axis 0, whose u the slab computes again, and the zeroed
+    # wrap at the end of that plane along axes 1 and 2.
+    pf, gf, af, bf = p.ravel(), grad.ravel(), a.ravel(), b.ravel()
+    n, (n0, *rest) = p.size, p.shape
+    lo, hi = s.start, s.stop
+    plane = n // n0
+    views = []
+    for axis in range(3):
+        st = math.prod(p.shape[axis + 1:])
+        start, stop = (lo * plane - st if lo > 0 else 0), hi * plane
+        own, end = lo * plane - start, min(stop + st, n)
+        d, root = af[:stop - start], bf[:stop - start]
+        zeroed = [d[:own]] if axis > 0 and own > 0 else []
+        if axis > 0 or hi == n0:
+            zeroed.append(d[own:].reshape(hi - lo, *rest)[along(axis, slice(-1, None))])
+        w = None if face_w is None else face_w[axis]
+        views.append(_Faces(
+            ahead=pf[start + st:end], here=pf[start:end - st], diff=d[:end - st - start],
+            zeroed=tuple(zeroed), d=d, root=root, root_own=root[own:],
+            w_own=None if w is None else w[lo * plane:stop], w=None if w is None else w[start:stop],
+            grad_own=gf[lo * plane:stop], d_own=d[own:],
+            grad_next=gf[start + st:stop], d_prev=d[:stop - start - st]))
+    return tuple(views)
+
+
+class _Slab(NamedTuple):
+    """The views of one slab ``s`` of axis-0 planes: of P, the accumulator
+    ``grad`` and the anchor logits ``z0``, of the slab-sized chain factor
+    ``pq`` and scratch ``a`` and ``b``, and the face loop's ``faces``."""
+
+    s: slice
+    p: np.ndarray
+    grad: np.ndarray
+    z0: np.ndarray
+    pq: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    faces: tuple[_Faces, ...]
+
+
+class _Workspace:
+    """The buffers one objective reuses on every call, and their ``slabs``
+    (:class:`_Slab`), cut by :func:`volume.slab_planes`.  Full-grid: P and
+    the gradient accumulator ``grad``.  Slab-sized: the chain factor, one
+    slab, and two scratch arrays, one slab plus the plane below it (the face
+    loop's halo).  Also the voxel count ``n`` and the current call's
+    ``value`` flag."""
+
+    def __init__(self, z0: np.ndarray, face_w: Sequence[np.ndarray] | None):
+        self.n = z0.size
+        self.p, self.grad = np.empty(z0.shape), np.empty(z0.shape)
+        n0, rest = z0.shape[0], z0.shape[1:]
+        planes = slab_planes(z0.shape)
+        pq = np.empty((planes, *rest))
+        a, b = (np.empty((min(planes + 1, n0), *rest)) for _ in range(2))
+        self.slabs = []
+        for lo in range(0, n0, planes):
+            s = slice(lo, min(lo + planes, n0))
+            k = s.stop - lo
+            self.slabs.append(_Slab(s, self.p[s], self.grad[s], z0[s], pq[:k], a[:k], b[:k],
+                                    _face_views(self.p, self.grad, a, b, s, face_w)))
 
     def load(self, z: np.ndarray, value: bool) -> None:
-        self.z, self.value = z, value
-        sigmoid_into(z, self.p)
+        """Sweep 1: P = sigmoid(z), slab by slab."""
+        self.value = value
+        for sl in self.slabs:
+            sigmoid_into(z[sl.s], sl.p)
 
 
-# A P-space kernel adds w N dL/dP into ws.grad, with w its weight over the
-# objective's reference weight, and returns its unweighted value, or None when
-# ws.value is False.  The entropy kernel writes ws.grad instead of adding.
-Kernel = Callable[..., float | None]
+# A slab kernel (entropy, faces) adds w N dL/dP into its slab of the
+# accumulator, with w its weight over the objective's reference weight, and
+# returns its unweighted value summed over that slab, not yet divided by N,
+# or 0.0 when ws.value is False.  The entropy kernel writes its slab instead
+# of adding; the anchor, added after the chain multiply, works the same way
+# in logit space.  A term kernel (gravity, inflation) takes its sums from the
+# full P once per call and returns its value (None when not needed) and a
+# function ``add(g, s)`` that adds w N dL/dP into the slab g = ws.grad[s].
+SlabAdd = Callable[[np.ndarray, slice], None]
+Kernel = Callable[..., tuple[float | None, SlabAdd]]
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
@@ -120,79 +214,73 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.einsum("i,i->", x.ravel(), y.ravel()))
 
 
-def _entropy(ws: _Workspace, w: float) -> float | None:
+def _entropy(ws: _Workspace, sl: _Slab, z: np.ndarray, w: float) -> float:
     # H = mean(P softplus(-z) + (1-P) softplus(z)), the binary entropy
     # written in the logits (-ln P = softplus(-z), -ln(1-P) = softplus(z));
     # dH/dP = -z / N.  With softplus(x) = max(x, 0) + softplus(-|x|) the value
     # is a sum of three non-negative fields: softplus(-|z|) + P max(-z, 0) +
     # (1-P) max(z, 0).  The chain-factor buffer is free until the objective
-    # builds the factor, after every kernel.
-    value = None
+    # builds the slab's factor, after every kernel.
+    value = 0.0
     if ws.value:
-        sp, relu, q = ws.a, ws.b, ws.pq
-        np.log1p(np.exp(np.negative(np.abs(ws.z, out=sp), out=sp), out=sp), out=sp)
-        np.subtract(1.0, ws.p, out=q)
-        total = float(sp.sum()) + _dot(q, np.maximum(ws.z, 0.0, out=relu))
-        total += _dot(ws.p, np.maximum(np.negative(ws.z, out=relu), 0.0, out=relu))
-        value = total / ws.n
-    np.multiply(ws.z, -w, out=ws.grad)
+        sp, relu, q = sl.a, sl.b, sl.pq
+        np.log1p(np.exp(np.negative(np.abs(z, out=sp), out=sp), out=sp), out=sp)
+        np.subtract(1.0, sl.p, out=q)
+        value = float(sp.sum()) + _dot(q, np.maximum(z, 0.0, out=relu))
+        value += _dot(sl.p, np.maximum(np.negative(z, out=relu), 0.0, out=relu))
+    np.multiply(z, -w, out=sl.grad)
     return value
 
 
-def _charbonnier_faces(ws: _Workspace, face_w: Sequence[np.ndarray] | None) -> float | None:
+def _charbonnier_faces(ws: _Workspace, faces: Sequence[_Faces]) -> float:
     # sum over axes of w * (sqrt(d^2 + eps^2) - eps) with d the forward
     # difference (replicate boundary: final slab is zero), averaged over N;
     # zero-difference entries contribute exactly zero.  The kernel adds N dL/dP,
     # the divergence of the face field, unscaled: the objective makes this
-    # term's weight its reference and puts 1/N on the chain factor.
-    #
-    # The difference and its adjoint run on flat views of the C-ordered
-    # buffers, where a step along ``axis`` is a shift by s entries.  A shifted
-    # pair that wraps past the end of an axis lands in that axis's final slab,
-    # which is then zeroed; in the adjoint such an entry adds that +0.0, which
-    # changes no value (it can only turn a -0.0 into +0.0).
-    p, grad, d, root = ws.p, ws.grad, ws.a, ws.b
-    pf, gf, df = p.ravel(), grad.ravel(), d.ravel()
+    # term's weight its reference and puts 1/N on the chain factor.  The
+    # views are built once (_face_views), so a call makes ufunc calls only.
     value = 0.0
-    for axis in range(3):
-        s = math.prod(p.shape[axis + 1:])
-        np.subtract(pf[s:], pf[:-s], out=df[:-s])
-        d[along(axis, slice(-1, None))] = 0.0
-        np.multiply(d, d, out=root)
-        root += TV_EPS * TV_EPS
-        np.sqrt(root, out=root)
-        np.divide(d, root, out=d)  # d now holds u
+    for f in faces:
+        np.subtract(f.ahead, f.here, out=f.diff)
+        for part in f.zeroed:
+            part.fill(0.0)
+        np.multiply(f.d, f.d, out=f.root)
+        np.add(f.root, TV_EPS * TV_EPS, out=f.root)
+        np.sqrt(f.root, out=f.root)
+        np.divide(f.d, f.root, out=f.d)  # d now holds u
         if ws.value:
-            root -= TV_EPS  # smoothed |d|, exactly zero where d is zero
-            # (w * root).sum() keeps the same pairwise reduction as the
-            # unweighted path, so g == 1 reproduces tv bit-for-bit
-            value += (root if face_w is None else np.multiply(face_w[axis], root, out=root)).sum()
-        if face_w is not None:
-            d *= face_w[axis]
-        grad -= d
-        gf[s:] += df[:-s]
-    return value / ws.n if ws.value else None
+            # smoothed |d|, exactly zero where d is zero; (w * root).sum()
+            # keeps the same pairwise reduction as the unweighted path, so
+            # g == 1 reproduces tv bit-for-bit
+            r = np.subtract(f.root_own, TV_EPS, out=f.root_own)
+            value += (r if f.w_own is None else np.multiply(f.w_own, r, out=r)).sum()
+        if f.w is not None:
+            np.multiply(f.d, f.w, out=f.d)
+        np.subtract(f.grad_own, f.d_own, out=f.grad_own)
+        np.add(f.grad_next, f.d_prev, out=f.grad_next)
+    return value
 
 
 def _face_weights(g: np.ndarray) -> list[np.ndarray]:
     # face value between voxel k and k+1 along each axis: (g_k + g_{k+1}) / 2;
-    # the final slab pairs with itself (its difference is zero anyway).
+    # the final slab pairs with itself (its difference is zero anyway).  The
+    # weights are returned flat, as the face loop's views take them.
     weights = []
     for axis in range(3):
         src, dst = along(axis, slice(1, None)), along(axis, slice(None, -1))
         w = g.copy()
         w[dst] = 0.5 * (g[src] + g[dst])
-        weights.append(w)
+        weights.append(w.ravel())
     return weights
 
 
-def _gravity(ws: _Workspace, w: float, spacing: Spacing) -> float:
+def _gravity(ws: _Workspace, w: float, spacing: Spacing) -> tuple[float, SlabAdd]:
     # V = sum_v w_v ||x_v - c||^2 with w = P / (sum P + eps) and c = sum w x;
     # the gradient is differentiated through both w and c:
     #   dV/dP_k = (||x_k - c||^2 - V - 2 (1 - sum w) c.(x_k - c)) / (sum P + eps)
     # where (1 - sum w) = eps / (sum P + eps).  Both the value and the grad
     # basis separate over axes, so everything heavy is assembled from 1D
-    # per-axis pieces, with the scalars folded in, broadcast into ws.grad.
+    # per-axis pieces, with the scalars folded in, broadcast into each slab.
     p = ws.p
     coords = axis_coords(p.shape, spacing)
     plane = p.sum(axis=0)  # the two passes over the grid: plane sums, then row sums
@@ -213,22 +301,27 @@ def _gravity(ws: _Workspace, w: float, spacing: Spacing) -> float:
     k = w * ws.n / total
     bx, by, bz = (k * (d * d - shrink * ctr * d) for d, ctr in deltas)
     bx -= k * value
-    ws.grad += bx + by
-    ws.grad += bz
-    return value
+
+    def add(g: np.ndarray, s: slice) -> None:
+        g += bx[s] + by
+        g += bz
+
+    return value, add
 
 
-def _inflation(ws: _Workspace, w: float) -> float | None:
-    ws.grad -= w
-    return -float(ws.p.sum()) / ws.n if ws.value else None
+def _inflation(ws: _Workspace, w: float) -> tuple[float | None, SlabAdd]:
+    def add(g: np.ndarray, s: slice) -> None:
+        g -= w
+
+    return (-float(ws.p.sum()) / ws.n if ws.value else None), add
 
 
-def _anchor(ws: _Workspace, lam: float) -> float | None:
+def _anchor(ws: _Workspace, sl: _Slab, z: np.ndarray, lam: float) -> float:
     # a logit-space term: added after the chain multiply, with its own weight
-    d = np.subtract(ws.z, ws.z0, out=ws.a)
-    value = float(np.multiply(d, d, out=ws.b).sum()) / ws.n if ws.value else None
+    d = np.subtract(z, sl.z0, out=sl.a)
+    value = float(np.multiply(d, d, out=sl.b).sum()) if ws.value else 0.0
     d *= 2.0 * lam / ws.n
-    ws.grad += d
+    np.add(sl.grad, d, out=sl.grad)
     return value
 
 
@@ -244,41 +337,52 @@ def objective(z0: np.ndarray, ent: float = 0.0, face: float = 0.0,
     are dropped here, once.  With ``value=False`` the value is None and the
     kernels skip the work only the value needs; the gradient is bit-identical.
 
-    The evaluator allocates its full-grid buffers once and reuses them: the
-    returned grad is overwritten by the next call, and one evaluator must not
-    be called from two threads at once.
+    A call makes two sweeps over slabs of :func:`volume.slab_planes` axis-0
+    planes.  Sweep 1 writes P slab by slab; gravity and inflation then take
+    their sums from the full P.  Sweep 2 builds each slab's gradient, chain
+    factor and anchor included.  The value's sums are added up slab by slab.
+
+    The evaluator allocates its buffers once and reuses them: the returned
+    grad is overwritten by the next call, and one evaluator must not be
+    called from two threads at once.
     """
-    ws = _Workspace(z0)
+    ws = _Workspace(z0, faces)
     # The P-space kernels sum N dL/dP / ref into one accumulator, which is
     # multiplied once by the chain factor (ref / N) P(1-P).  With ref the face
     # weight, the face kernel adds its scatter without a scaling pass.
     ref = face if face != 0.0 else 1.0
     chain = ref / ws.n
     lam, kernel = term
-    kernels = [(weight, k) for weight, k in (
-        (ent, partial(_entropy, w=ent / ref)),
-        (face, partial(_charbonnier_faces, face_w=faces)),
-        (lam, partial(kernel, w=lam / ref)),
-    ) if weight != 0.0]
+    ent_w = ent / ref
 
     def evaluate(z: np.ndarray, value: bool = True):
         ws.load(z, value)
-        if ent == 0.0:
-            ws.grad.fill(0.0)  # otherwise the entropy kernel writes it first
+        term_value, add_term = kernel(ws, lam / ref) if lam != 0.0 else (None, None)
+        ent_sum = face_sum = anc_sum = 0.0
+        for sl in ws.slabs:
+            zs, g = z[sl.s], sl.grad
+            if ent != 0.0:
+                ent_sum += _entropy(ws, sl, zs, ent_w)
+            else:
+                g.fill(0.0)
+            if face != 0.0:
+                face_sum += _charbonnier_faces(ws, sl.faces)
+            if add_term is not None:
+                add_term(g, sl.s)
+            pq = np.subtract(1.0, sl.p, out=sl.pq)
+            pq *= sl.p
+            pq *= chain
+            g *= pq
+            if anc != 0.0:
+                anc_sum += _anchor(ws, sl, zs, anc)
+        if not value:
+            return None, ws.grad
         total = 0.0
-        for weight, k in kernels:
-            term_value = k(ws)
-            if value:
-                total += weight * term_value
-        pq = np.subtract(1.0, ws.p, out=ws.pq)
-        pq *= ws.p
-        pq *= chain
-        ws.grad *= pq
-        if anc != 0.0:
-            term_value = _anchor(ws, anc)
-            if value:
-                total += anc * term_value
-        return (total if value else None), ws.grad
+        for weight, v in ((ent, ent_sum / ws.n), (face, face_sum / ws.n), (lam, term_value),
+                          (anc, anc_sum / ws.n)):
+            if weight != 0.0:
+                total += weight * v
+        return total, ws.grad
 
     return evaluate
 

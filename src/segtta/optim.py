@@ -7,7 +7,11 @@ size.
 
 The loop allocates no full-grid array per step.  The objective returns a
 gradient buffer that it overwrites on its next call, and :func:`adam_step`
-updates the moments and the logits in place.
+updates the moments and the logits in place.  Both work through slabs of
+axis-0 planes (:func:`volume.slab_planes`): a step keeps z, P, the gradient
+and the two moments full-grid (and diffuse its three face-weight grids), and
+every scratch array holds one slab.  Each step is still one objective call
+and one :func:`adam_step` call.
 
 Adam needs only the gradient, so the loss value is computed on sampled steps
 alone: step 0, every :data:`LOSS_EVERY`-th step and the last step.
@@ -24,7 +28,7 @@ from typing import Literal
 import numpy as np
 
 from . import losses
-from .volume import Case, Volume, check_fields
+from .volume import Case, Volume, check_fields, slab_planes
 
 HypothesisName = Literal["compact", "diffuse"]
 
@@ -51,8 +55,8 @@ class OptimizerProtocol:
 @dataclass
 class AdamState:
     """Unnormalised first/second moment sums (see :func:`adam_step`), the
-    step counter, and two scratch arrays of the same shape that
-    :func:`adam_step` works in."""
+    step counter, and two scratch arrays of one slab that :func:`adam_step`
+    works in; their length along axis 0 is the slab thickness."""
 
     m: np.ndarray
     v: np.ndarray
@@ -63,8 +67,9 @@ class AdamState:
 
     @classmethod
     def fresh(cls, shape, protocol: OptimizerProtocol) -> "AdamState":
+        slab = (slab_planes(shape), *shape[1:])
         return cls(m=np.zeros(shape), v=np.zeros(shape), t=0, protocol=protocol,
-                   num=np.empty(shape), den=np.empty(shape))
+                   num=np.empty(slab), den=np.empty(slab))
 
 
 @dataclass(frozen=True)
@@ -106,7 +111,9 @@ def adam_step(state: AdamState, z: np.ndarray, grad: np.ndarray) -> tuple[AdamSt
 
     The update is in place: ``state`` (moments, counter, scratch) and ``z`` are
     overwritten and returned, bit-identical to the out-of-place form of the
-    formula above.  A non-finite gradient raises before anything is written.
+    formula above.  It runs slab by slab over axis 0, in slabs as thick as
+    the scratch arrays.  A non-finite gradient anywhere raises before
+    anything is written.
     """
     # a sum is finite only if every entry is; the exact test runs only when it
     # is not, so that an overflowing sum of finite entries still passes
@@ -116,16 +123,20 @@ def adam_step(state: AdamState, z: np.ndarray, grad: np.ndarray) -> tuple[AdamSt
     state.t += 1
     s = math.sqrt((1.0 - pr.beta2) / (1.0 - pr.beta2**state.t))
     k = pr.lr * (1.0 - pr.beta1) / (1.0 - pr.beta1**state.t) / s
-    m, v, num, den = state.m, state.v, state.num, state.den
-    m *= pr.beta1
-    m += grad
-    v *= pr.beta2
-    v += np.multiply(grad, grad, out=num)
-    np.sqrt(v, out=den)
-    den += pr.eps_adam / s
-    step = np.divide(m, den, out=num)
-    step *= k
-    z -= step
+    planes = len(state.num)
+    for a in range(0, len(z), planes):
+        sl = slice(a, a + planes)
+        m, v, g = state.m[sl], state.v[sl], grad[sl]
+        num, den = state.num[:len(m)], state.den[:len(m)]
+        m *= pr.beta1
+        m += g
+        v *= pr.beta2
+        v += np.multiply(g, g, out=num)
+        np.sqrt(v, out=den)
+        den += pr.eps_adam / s
+        step = np.divide(m, den, out=num)
+        step *= k
+        z[sl] -= step
     return state, z
 
 
@@ -151,6 +162,7 @@ def refine(
         weights = weights if weights is not None else losses.DiffuseWeights()
         g = losses.edge_map(case.image, edge_cfg).data if edge_cfg is not None else None
         objective = losses.diffuse_objective(z0, g, weights)
+        del g  # only its face weights are used from here on
     else:
         raise ValueError(f"unknown hypothesis {hypothesis!r}")
 

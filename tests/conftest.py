@@ -2,9 +2,11 @@
 expensive (1000-step refinements), so they are built once per session and
 shared between the behavioral tests and the acceptance criteria."""
 
+import math
+
 import pytest
 
-from segtta import phantom, pipeline
+from segtta import phantom, pipeline, volume
 
 # 40 cases, 10 engineered-unstable -> exactly 25% flagged.  fragmented_small is
 # deliberately absent here: compaction collapses sub-300-voxel predictions
@@ -16,6 +18,19 @@ MIXED_TEMPLATE = [
     ("under_segmented_matched", 4),
     ("under_segmented_mismatched", 2),
 ]
+
+
+@pytest.fixture
+def use_slabs(monkeypatch):
+    """``use_slabs(dims, planes)`` sets the refinement step's slab size so that a
+    ``dims`` grid is cut into slabs of about ``planes`` axis-0 planes (None:
+    one slab), for the objectives and Adam states built after it; it returns
+    the thickness set."""
+    def use(dims, planes):
+        slabs = 1 if planes is None else -(-dims[0] // planes)
+        monkeypatch.setattr(volume, "SLAB_VOXELS", math.prod(dims) // slabs)
+        return volume.slab_planes(dims)
+    return use
 
 
 @pytest.fixture(scope="session")

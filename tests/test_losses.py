@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter  # reference oracle for the numpy Gaussian
 
-from segtta import losses, phantom
+from segtta import gradcheck, losses, phantom
 from segtta.volume import Volume, sigmoid
 
 SPACING = (1.0, 1.3, 0.8)
@@ -336,11 +336,13 @@ class TestObjectiveBuffers:
             loss(rand_vol(54))
             assert first.grad_z.data.tobytes() == kept
 
-    def test_interleaved_threads_match_separate_runs(self):
+    @pytest.mark.parametrize("planes", [None, 2])
+    def test_interleaved_threads_match_separate_runs(self, use_slabs, planes):
         # each objective owns its workspace, so objectives stepping on
         # several threads at once (more than there are cores) see no
         # interference: every (value, grad) equals the one computed alone
         dims, steps = (12, 10, 9), 15
+        use_slabs(dims, planes)
         z0s = [rand_vol(60 + k, dims=dims).data for k in range(4)]
         g = rand_gmap(65, dims=dims).data
         zs = [rand_vol(70 + i, dims=dims, scale=3.0).data for i in range(steps)]
@@ -377,27 +379,77 @@ class TestObjectiveBuffers:
         assert threaded == alone
 
 
+# the grids of the slab tests: 12 planes cut evenly, a ragged last slab
+# (7 planes as 2 + 2 + 2 + 1 and 3 + 3 + 1), and singleton axes
+SLAB_DIMS = [(12, 10, 9), (7, 5, 3), (5, 1, 7), (2, 3, 1), (9, 1, 1), (1, 4, 5)]
+
+
+def table_objective(table, z0, g):
+    """The objective of one weight table; "edge_zero" is diffuse on a map of
+    -0.0 without inflation or anchor, where a gradient entry can reach the
+    flat wrap of axes 1 and 2 at -0.0, so the wrap's signed zero shows."""
+    weights = {
+        "compact": losses.CompactWeights(),
+        "compact_no_entropy": losses.CompactWeights(lambda_ent=0.0),  # the accumulator's fill
+        "compact_no_tv": losses.CompactWeights(lambda_tv=0.0),  # ref = 1
+        "diffuse": losses.DiffuseWeights(),
+        "g_one": losses.DiffuseWeights(),
+        "edge_zero": losses.DiffuseWeights(lambda_inf=0.0, lambda_anc=0.0),
+    }[table]
+    if table.startswith("compact"):
+        return losses.compact_objective(z0, SPACING, weights)
+    g_map = {"diffuse": g, "g_one": None, "edge_zero": np.full(z0.shape, -0.0)}[table]
+    return losses.diffuse_objective(z0, g_map, weights)
+
+
+def slab_fields(dims):
+    """Logit fields: one with exact zeros (the entropy kernel writes -0.0
+    there), one wider, one saturated with |z| up to ~400."""
+    fields = []
+    for seed, scale in ((82, 1.0), (83, 4.0), (84, 100.0)):
+        z = rand_vol(seed, dims=dims, scale=scale).data.copy()
+        if seed == 82:
+            z[np.random.default_rng(85).uniform(size=dims) < 0.5] = 0.0
+        fields.append(z)
+    return fields
+
+
 class TestGradientOnly:
     """``value=False`` skips the value-only work and must leave the gradient
-    bit-identical."""
+    bit-identical.  So must the slab thickness, while the value's slab-by-slab
+    sums move it by rounding only."""
 
-    @pytest.mark.parametrize("table", ["compact", "diffuse", "g_one"])
-    def test_gradient_does_not_depend_on_value(self, table):
-        dims = (12, 10, 9)
+    @pytest.mark.parametrize("planes", [1, 2, 3, None])
+    @pytest.mark.parametrize("dims", SLAB_DIMS)
+    @pytest.mark.parametrize("table", ["compact", "compact_no_entropy", "compact_no_tv", "diffuse",
+                                       "g_one", "edge_zero"])
+    def test_gradient_does_not_depend_on_value(self, use_slabs, table, dims, planes):
         z0 = rand_vol(80, dims=dims).data
-        g = rand_gmap(81, dims=dims).data if table == "diffuse" else np.ones(dims)
-        if table == "compact":
-            objective = losses.compact_objective(z0, SPACING, losses.CompactWeights())
-        else:
-            objective = losses.diffuse_objective(z0, g, losses.DiffuseWeights())
-        # the last field saturates: |z| up to ~400
-        for seed, scale in ((82, 1.0), (83, 4.0), (84, 100.0)):
-            z = rand_vol(seed, dims=dims, scale=scale).data
+        g = rand_gmap(81, dims=dims).data
+        use_slabs(dims, None)
+        whole = table_objective(table, z0, g)
+        thickness = use_slabs(dims, planes)
+        if dims == (12, 10, 9):
+            assert thickness == (planes or 12)
+        objective = table_objective(table, z0, g)
+        for z in slab_fields(dims):
+            value_whole, grad = whole(z)
+            grad_whole = grad.tobytes()
             none, grad = objective(z, value=False)
-            grad_only = grad.tobytes()
+            assert none is None and grad.tobytes() == grad_whole
             value, grad = objective(z)
-            assert none is None and math.isfinite(value)
-            assert grad.tobytes() == grad_only
+            assert grad.tobytes() == grad_whole
+            assert math.isfinite(value)
+            assert value == pytest.approx(value_whole, rel=1e-13, abs=1e-300)
+
+
+def test_gradcheck_across_one_plane_slabs(use_slabs):
+    # with one plane per slab, every axis-0 face lies on a slab edge
+    assert use_slabs((5, 4, 3), 1) == 1
+    results = gradcheck.check_all(dims=(5, 4, 3))
+    assert set(results) == set(gradcheck.ALL_TERMS)
+    for term, res in results.items():
+        assert res.max_rel_err < gradcheck.DEFAULT_TOLERANCE, term
 
 
 class TestAxisPermutation:

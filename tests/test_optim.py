@@ -77,10 +77,29 @@ class TestAdamStep:
         with pytest.raises(NumericalFailure, match="step 1"):
             adam_step(state, z, grad)
 
-    def test_in_place_update_is_bit_equal_to_textbook_reference(self):
+    def test_nonfinite_gradient_in_the_last_slab_writes_nothing(self, use_slabs):
+        # the finiteness check covers the whole grid before the first slab
+        # is updated
+        rng = np.random.default_rng(6)
+        z = rng.normal(size=(5, 4, 3))
+        assert use_slabs(z.shape, 2) == 2
+        state = AdamState.fresh(z.shape, OptimizerProtocol())
+        for _ in range(3):
+            state, z = adam_step(state, z, rng.normal(size=z.shape))
+        kept = [a.tobytes() for a in (z, state.m, state.v)]
+        grad = rng.normal(size=z.shape)
+        grad[-1, -1, -1] = np.nan
+        with pytest.raises(NumericalFailure, match="step 4"):
+            adam_step(state, z, grad)
+        assert state.t == 3
+        assert [a.tobytes() for a in (z, state.m, state.v)] == kept
+
+    @pytest.mark.parametrize("planes", [None, 1, 2])
+    def test_in_place_update_is_bit_equal_to_textbook_reference(self, use_slabs, planes):
         rng = np.random.default_rng(8)
         pr = OptimizerProtocol()
         z = rng.normal(size=(5, 4, 3))
+        use_slabs(z.shape, planes)
         m, v, t, z_ref = np.zeros_like(z), np.zeros_like(z), 0, z.copy()
         state = AdamState.fresh(z.shape, pr)
         for grad in spanning_gradients(rng, z.shape):

@@ -12,6 +12,7 @@ from segtta.volume import (
     Volume,
     mask_stats,
     sigmoid,
+    slab_planes,
     threshold,
 )
 
@@ -153,3 +154,15 @@ class TestMaskStats:
         m = Mask(np.ones((2, 2, 3), dtype=bool), (1, 1, 1))
         with pytest.raises(ValueError, match="mismatch"):
             mask_stats(v, m)
+
+
+@pytest.mark.parametrize("dims, planes", [
+    ((40, 40, 40), 40),    # under 2 SLAB_VOXELS: one slab
+    ((52, 40, 40), 52),
+    ((64, 64, 64), 16),    # 4 slabs of SLAB_VOXELS
+    ((240, 240, 155), 2),  # BraTS-sized: 136 slabs of 2 planes fit 120
+    ((3, 512, 512), 1),    # a plane over SLAB_VOXELS
+    ((1, 1, 1), 1),
+])
+def test_slab_planes(dims, planes):
+    assert slab_planes(dims) == planes
