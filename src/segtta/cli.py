@@ -1,9 +1,8 @@
 """Command-line surface exposing every pipeline stage.
 
 Subcommands: run, gatekeep, select, metrics, phantom, ablate, gradcheck.
-Exit codes: 0 success, 1 input error (or scipy missing for an hd95),
-2 numerical failure.  With --no-timing all outputs are byte-identical across
-reruns with the same inputs.
+Exit codes: 0 success, 1 input error, 2 numerical failure.  With --no-timing
+all outputs are byte-identical across reruns with the same inputs.
 """
 
 from __future__ import annotations
@@ -324,7 +323,6 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (CliInputError, fileio.VolumeFileError, phantom.GeometryError, FileNotFoundError,
-            ModuleNotFoundError,  # hd95 (metrics, ablate) on a numpy-only install
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -18,6 +18,7 @@ need a deterministic policy):
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -99,18 +100,134 @@ def volume_diagonal_mm(mask: Mask) -> float:
     return math.sqrt(sum((n * s) ** 2 for n, s in zip(mask.dims, mask.spacing)))
 
 
+# hd95's nearest-surface search (see ``hd95``).  The offset table holds the
+# shortest offsets of a ball of about this many voxels.
+_TABLE_OFFSETS = 4096
+# Squared lengths closer than this, relative, share a band.  On an axis of n
+# voxels rounding moves a squared distance by under (4n + 6) units of
+# roundoff (1.1e-16 each), so below 1e8 voxels per axis no offset of a later
+# band can come out nearer than a hit of an earlier one.
+_TIE = 1e-6
+# Largest (rows x columns) block that one gather or brute-force step builds:
+# temporaries of at most 256 KB.  Twice that was as fast on the phantoms but
+# left phantom_triage's peak RSS 2 MiB higher.
+_BLOCK = 1 << 15
+
+
+@functools.lru_cache(maxsize=16)
+def _offset_table(spacing: tuple[float, float, float]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The nonzero integer voxel offsets up to the radius of a ball of about
+    ``_TABLE_OFFSETS`` voxels, sorted by physical length, and the edges of
+    the bands the search walks.
+
+    Bands end only at a gap of more than ``_TIE`` between two lengths, and a
+    band holds at least a quarter as many offsets as all bands before it, so
+    a search makes O(log n) gathers, and past the first bands it looks up at
+    most about a quarter more offsets than it needs.  Every offset left out of
+    the table is longer than all in it by more than ``_TIE``.  The arrays are
+    cached, so they are read-only."""
+    s = np.asarray(spacing)
+    reach = (3.0 * _TABLE_OFFSETS * s.prod() / (4.0 * math.pi)) ** (1.0 / 3.0)
+    r = np.ceil(reach / s).astype(np.int64)  # the box holds every offset up to reach
+    grid = np.meshgrid(*(np.arange(-k, k + 1) for k in r), indexing="ij")
+    offsets = np.stack([g.ravel() for g in grid], axis=1)
+    sq = ((offsets * s) ** 2).sum(axis=1)
+    order = np.argsort(sq, kind="stable")[1:]  # the zero offset comes first
+    offsets, sq = offsets[order], sq[order]
+    gaps = np.flatnonzero(sq[1:] > sq[:-1] * (1.0 + _TIE)) + 1
+    n = int(gaps[np.searchsorted(sq[gaps], reach * reach, side="right")])
+    edges = [0]
+    for g in gaps[gaps <= n]:
+        if g - edges[-1] >= max(6, edges[-1] // 4) or g == n:
+            edges.append(int(g))
+    offsets = offsets[:n]
+    offsets.flags.writeable = False
+    return offsets, tuple(edges)
+
+
+def _voxels(mask: np.ndarray) -> np.ndarray:
+    """Indices (3, n) of the true voxels of ``mask`` in C order; ten times
+    faster than ``np.argwhere`` on a 64^3 surface."""
+    return np.array(np.unravel_index(np.flatnonzero(mask), mask.shape))
+
+
+def _nearest_sq(src: np.ndarray, dst: np.ndarray, spacing: np.ndarray) -> np.ndarray:
+    """Smallest squared distance from each voxel in ``src`` (indices, 3 x n)
+    to a voxel of the boolean grid ``dst``, in cKDTree's arithmetic:
+    coordinates are index times spacing, and the sum is
+    (dx*dx + dy*dy) + dz*dz."""
+    offsets, edges = _offset_table(tuple(float(x) for x in spacing))
+    # past as many offsets as dst has voxels, comparing a voxel with all of
+    # dst costs less than walking on
+    budget = int(np.count_nonzero(dst))
+    edges = [e for e in edges if e <= max(edges[1], budget)]
+    offsets = offsets[:edges[-1]].T
+    pad = np.abs(offsets).max(axis=1)
+    padded = np.zeros(tuple(np.add(dst.shape, 2 * pad)), dtype=bool)
+    padded[tuple(slice(p, p + n) for p, n in zip(pad, dst.shape))] = dst
+    strides = np.array([padded.shape[1] * padded.shape[2], padded.shape[2], 1])
+    padded, base, flat_offsets = padded.ravel(), strides @ (src + pad[:, None]), strides @ offsets
+    spacing = spacing[:, None]
+    coords = src * spacing
+    best = np.full(src.shape[1], np.inf)
+
+    def sq_to(rows, targets):
+        """Squared distances from the voxels ``rows`` to the points whose
+        coordinates along axis k are ``targets[k]``, broadcast together."""
+        acc = None
+        for k in range(3):
+            d = coords[k, rows] - targets[k]
+            d *= d
+            acc = d if acc is None else np.add(acc, d, out=acc)
+        return acc
+
+    todo = np.arange(src.shape[1])
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        missed, step = [], max(1, _BLOCK // (hi - lo))
+        for c in range(0, len(todo), step):
+            rows = todo[c:c + step]
+            hit = padded[base[rows][:, None] + flat_offsets[lo:hi]]
+            found = hit.any(axis=1)
+            missed.append(rows[~found])
+            if not found.any():
+                continue
+            rows = rows[found]
+            # row-major order: each row's hits are adjacent, and every row has one
+            r, col = np.divmod(np.flatnonzero(hit[found]), hi - lo)
+            sq = sq_to(rows[r], (src[:, rows[r]] + offsets[:, lo + col]) * spacing)
+            best[rows] = np.minimum.reduceat(sq, np.flatnonzero(np.diff(r, prepend=-1)))
+        todo = np.concatenate(missed)
+        if not len(todo):
+            return best
+    targets = _voxels(dst) * spacing
+    step = max(1, _BLOCK // targets.shape[1])
+    for c in range(0, len(todo), step):
+        rows = todo[c:c + step]
+        best[rows] = sq_to(rows[:, None], targets).min(axis=1)
+    return best
+
+
 def hd95(pred: Mask, gt: Mask) -> float:
     """95th percentile of the pooled bidirectional nearest-surface distances,
-    in mm.
+    in mm, with the bits of the KD-tree formula (``tests/oracles.py``).
 
     A voxel on both surfaces is at distance exactly 0 from the other surface,
-    so only the voxels on one surface alone are looked up in a KD-tree over
-    the other surface.  The distances form the same multiset as when every
-    surface voxel is looked up, so the percentile has the same bits."""
-    # scipy.spatial is imported by the first call, not with segtta: it is the
-    # only scipy code any path needs, and commands that take no hd95 skip it
-    from scipy.spatial import cKDTree
+    so only the voxels on one surface alone are searched for.  The search is
+    exact, with no tree:
 
+    * it walks a table of integer voxel offsets sorted by physical length,
+      over a padded copy of the other surface, in bands of near-equal length;
+      each band is one gather for all voxels still unresolved;
+    * a voxel's first band with a hit holds its nearest surface voxel.  Bands
+      split only where lengths differ by far more than rounding can move a
+      distance, so no later offset can come out nearer, and the voxel's
+      distance is the smallest over that band's hits;
+    * voxels with no hit in the table, or none within as many offsets as the
+      other surface has voxels, are compared with every voxel of that
+      surface, in chunks;
+    * each distance is computed from absolute coordinates as cKDTree computes
+      it: coordinates are index times spacing, the squared distance is
+      (dx*dx + dy*dy) + dz*dz and the result its square root."""
     require_same_grid(pred, gt, "prediction and reference masks")
     n_pred = int(np.count_nonzero(pred.data))
     n_gt = int(np.count_nonzero(gt.data))
@@ -127,8 +244,7 @@ def hd95(pred: Mask, gt: Mask) -> float:
         shared = np.zeros(int(np.count_nonzero(src)) - int(np.count_nonzero(alone)))
         if not alone.any():
             return shared
-        tree = cKDTree(np.argwhere(dst).astype(np.float64) * spacing)
-        return np.concatenate([shared, tree.query(np.argwhere(alone).astype(np.float64) * spacing)[0]])
+        return np.concatenate([shared, np.sqrt(_nearest_sq(_voxels(alone), dst, spacing))])
 
     return float(np.percentile(np.concatenate([distances(a, b), distances(b, a)]), 95.0))
 

@@ -358,20 +358,25 @@ def _pythonpath() -> str:
     return os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
 
 
-@pytest.mark.parametrize("module", ["segtta", "segtta.cli"])
-def test_import_leaves_out_scipy_stats(module):
+@pytest.mark.parametrize("code", [
+    "import segtta",
+    "import segtta.cli",
+    # hd95 included: an under-segmented baseline leaves surface voxels to search
+    "from segtta import metrics, phantom, volume; "
+    "g = phantom.generate(phantom.scenario_spec('under_segmented_matched', 0)); "
+    "assert metrics.evaluate(volume.threshold(volume.sigmoid(g.case.logits0), 0.5), g.gt).hd95_mm > 0",
+], ids=["segtta", "segtta.cli", "metrics.evaluate"])
+def test_import_leaves_out_scipy_stats(code):
     # scipy costs several times the start-up of numpy and segtta together,
-    # and only hd95's KD-tree needs it, imported by the first call; a fresh
-    # process shows what importing the package loads
-    code = (f"import sys, {module}; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    # and no segtta code needs it; a fresh process shows what a path loads
+    code += "; import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=_pythonpath()),
                          check=True, capture_output=True, text=True, timeout=120).stdout
     assert out == "[]\n"
 
 
-# runs the CLI with its arguments in a process where importing scipy fails
-WITHOUT_SCIPY = """
+# makes importing scipy fail in the process that runs it first
+NO_SCIPY = """
 import sys
 
 class NoScipy:
@@ -380,23 +385,34 @@ class NoScipy:
             raise ModuleNotFoundError(f"No module named {name!r}")
 
 sys.meta_path.insert(0, NoScipy())
+"""
+# runs the CLI with its arguments in a process where importing scipy fails
+WITHOUT_SCIPY = NO_SCIPY + """
 from segtta.cli import main
 sys.exit(main(sys.argv[1:]))
 """
 
 
-def test_commands_without_hd95_run_without_scipy(tmp_path, capsys):
-    # a numpy-only install: phantom, run on a flagged case (edge map and both
-    # hypotheses), gatekeep and gradcheck exit 0, and run writes the same
-    # report and mask as with scipy importable
+def test_every_command_runs_without_scipy(tmp_path, capsys):
+    # a numpy-only install: every command exits 0, run on a flagged case
+    # (edge map and both hypotheses) writes the same report and mask as with
+    # scipy importable, and metrics and ablate print and write the same bytes
     def without_scipy(*args):
         return subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, *args],
                               env=dict(os.environ, PYTHONPATH=_pythonpath()),
                               capture_output=True, text=True, timeout=300)
 
+    # the finder does refuse scipy
+    probe = subprocess.run([sys.executable, "-c", NO_SCIPY + "import scipy"],
+                           capture_output=True, text=True, timeout=60)
+    assert probe.returncode == 1 and "ModuleNotFoundError: No module named 'scipy'" in probe.stderr
+
     case = tmp_path / "case"
     run_args = ["run", "--image", str(case / "image_c00.vol"), "--logits", str(case / "logits0.vol"),
                 "--steps", "40", "--no-timing"]
+    metrics_args = ["metrics", "--pred", str(tmp_path / "mask_a.vol"), "--gt", str(case / "gt.vol")]
+    ablate_args = ["ablate", "--mix", "clean_confident=2,noise_island=1,under_segmented_matched=1",
+                   "--seed", "3", "--steps", "40", "--threads", "2"]
     done = without_scipy("phantom", "--scenario", "noise_island", "--seed", "3", "--out", str(case))
     assert done.returncode == 0, done.stderr
     done = without_scipy(*run_args, "--out-mask", str(tmp_path / "mask_a.vol"),
@@ -408,14 +424,26 @@ def test_commands_without_hd95_run_without_scipy(tmp_path, capsys):
     done = without_scipy("gradcheck", "--dims", "5", "4", "3")
     assert done.returncode == 0, done.stderr
     assert "OK: all gradients within" in done.stdout
-    # the finder does refuse scipy: hd95 needs it
-    probe = without_scipy("metrics", "--pred", str(case / "gt.vol"), "--gt", str(case / "gt.vol"))
-    assert probe.returncode == 1 and "No module named 'scipy" in probe.stderr
-    assert probe.stderr.startswith("error: ") and "Traceback" not in probe.stderr
+
+    def tables(stem):  # --json and --csv outputs
+        return ["--json", str(tmp_path / f"{stem}.json"), "--csv", str(tmp_path / f"{stem}.csv")]
+
+    scored = without_scipy(*metrics_args, *tables("metrics_a"))
+    assert scored.returncode == 0, scored.stderr
+    assert json.loads(scored.stdout)["hd95_mm"] > 0
+    ablated = without_scipy(*ablate_args, *tables("ablate_a"))
+    assert ablated.returncode == 0, ablated.stderr
 
     assert main([*run_args, "--out-mask", str(tmp_path / "mask_b.vol"),
                  "--report", str(tmp_path / "report_b.json")]) == 0
+    capsys.readouterr()
     assert main(["gatekeep", "--logits", str(case / "logits0.vol")]) == 0
-    assert capsys.readouterr().out.endswith(gatekeep.stdout)
-    for a, b in (("mask_a.vol", "mask_b.vol"), ("report_a.json", "report_b.json")):
+    assert capsys.readouterr().out == gatekeep.stdout
+    assert main([*metrics_args, *tables("metrics_b")]) == 0
+    assert capsys.readouterr().out == scored.stdout
+    assert main([*ablate_args, *tables("ablate_b")]) == 0
+    assert capsys.readouterr().out == ablated.stdout
+    for a, b in (("mask_a.vol", "mask_b.vol"), ("report_a.json", "report_b.json"),
+                 ("metrics_a.json", "metrics_b.json"), ("metrics_a.csv", "metrics_b.csv"),
+                 ("ablate_a.json", "ablate_b.json"), ("ablate_a.csv", "ablate_b.csv")):
         assert (tmp_path / a).read_bytes() == (tmp_path / b).read_bytes()

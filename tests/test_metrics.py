@@ -25,6 +25,7 @@ from segtta.metrics import (
 from segtta.volume import Mask
 
 SP = (1.0, 1.0, 1.0)
+SPACINGS = [(1.0, 1.0, 1.0), (1.0, 0.7, 1.4), (0.25, 0.5, 2.0), (3.0, 0.3, 0.3), (0.9375, 0.9375, 3.3)]
 
 
 def mask(arr, spacing=SP):
@@ -205,6 +206,79 @@ class TestHd95:
         # plain formula looks every voxel up, and the two must agree exactly
         a, b = pair
         got, want = hd95(a, b), oracles.hd95_kdtree(a, b)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("spacing", SPACINGS)
+    def test_offset_table_is_complete_sorted_and_read_only(self, spacing):
+        # exactness rests on these: every offset up to the table's longest is
+        # in it, in order of length, and bands end only where lengths differ by
+        # more than the tie tolerance
+        offsets, edges = metrics._offset_table(spacing)
+        assert metrics._offset_table(spacing) is metrics._offset_table(spacing)
+        assert not offsets.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            offsets[0, 0] = 0
+        sq = ((offsets * np.asarray(spacing)) ** 2).sum(axis=1)
+        assert np.all(np.diff(sq) >= 0) and sq[0] > 0
+        r = np.ceil(np.sqrt(sq[-1]) / np.asarray(spacing)).astype(int) + 1
+        cube = np.stack([g.ravel() for g in np.meshgrid(*(np.arange(-k, k + 1) for k in r), indexing="ij")], 1)
+        cube_sq = ((cube * np.asarray(spacing)) ** 2).sum(axis=1)
+        assert np.count_nonzero((cube_sq > 0) & (cube_sq <= sq[-1])) == len(offsets)
+        assert cube_sq[cube_sq > sq[-1]].min() > sq[-1] * (1 + metrics._TIE)
+        assert edges[0] == 0 and edges[-1] == len(offsets)
+        for e in edges[1:-1]:
+            assert sq[e] > sq[e - 1] * (1 + metrics._TIE)
+
+    @pytest.mark.parametrize("spacing", SPACINGS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nearest_surface_beyond_the_table_bit_for_bit(self, spacing, seed):
+        # masks in the first and last quarter of a 24-voxel axis, the one of
+        # the largest spacing, farther apart than the longest offset of the
+        # table: every voxel falls through the search to the comparison with
+        # the other surface.  Seed 0 is two planes of 24^2 voxels, more than
+        # one chunk of that comparison.
+        rng = np.random.default_rng(seed)
+        axis = int(np.argmax(spacing))
+        dims = [24, 24, 24] if seed == 0 else [int(n) for n in rng.integers(1, 25, 3)]
+        dims[axis] = 24
+        a, b = np.zeros(dims, dtype=bool), np.zeros(dims, dtype=bool)
+        first, last = [slice(None)] * 3, [slice(None)] * 3
+        first[axis], last[axis] = (slice(0, 1), slice(23, 24)) if seed == 0 else (slice(0, 6), slice(18, 24))
+        a[tuple(first)] = True if seed == 0 else rng.uniform(size=a[tuple(first)].shape) < 0.5
+        b[tuple(last)] = True if seed == 0 else rng.uniform(size=b[tuple(last)].shape) < 0.5
+        a.flat[0] = b.flat[-1] = True
+        pred, gt = mask(a, spacing), mask(b, spacing)
+        offsets, _ = metrics._offset_table(spacing)
+        longest = np.sqrt((((offsets * np.asarray(spacing)) ** 2).sum(axis=1)).max())
+        assert 13 * spacing[axis] > longest  # the least gap between the two
+        got, want = hd95(pred, gt), oracles.hd95_kdtree(pred, gt)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("spacing", [(0.25, 0.5, 2.0), (3.0, 0.3, 0.3), (0.9375, 0.9375, 3.3)])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_spacings_with_ties_in_a_band_bit_for_bit(self, spacing, seed):
+        # offsets of equal or near-equal length (2 x 0.25 = 1 x 0.5; 1 x 3 =
+        # 10 x 0.3) share a band, so the nearest is the least over its hits
+        rng = np.random.default_rng(100 + seed)
+        dims = tuple(int(n) for n in rng.integers(3, 13, 3))
+        a = rng.uniform(size=dims) < rng.uniform(0.05, 0.6)
+        b = a if seed % 3 == 0 else rng.uniform(size=dims) < rng.uniform(0.02, 0.4)
+        b = np.roll(b, int(rng.integers(-3, 4)), axis=int(rng.integers(0, 3)))
+        a[0, 0, 0] = b[-1, -1, -1] = True
+        pred, gt = mask(a, spacing), mask(b, spacing)
+        got, want = hd95(pred, gt), oracles.hd95_kdtree(pred, gt)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("dims", [(1, 9, 7), (8, 1, 6), (5, 6, 1), (1, 1, 20), (1, 17, 1), (12, 1, 1)])
+    @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.25, 0.5, 2.0), (3.0, 0.3, 0.3)])
+    def test_singleton_axes_bit_for_bit(self, dims, spacing):
+        # every offset along a singleton axis lands in the padding
+        rng = np.random.default_rng(sum(dims))
+        a = rng.uniform(size=dims) < 0.3
+        b = rng.uniform(size=dims) < 0.3
+        a.flat[0] = b.flat[-1] = True
+        pred, gt = mask(a, spacing), mask(b, spacing)
+        got, want = hd95(pred, gt), oracles.hd95_kdtree(pred, gt)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_surface_extraction_matches_oracle(self):
