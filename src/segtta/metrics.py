@@ -85,15 +85,16 @@ def surface_voxels(mask: Mask) -> np.ndarray:
     """Boolean array of boundary voxels: foreground with at least one of the six
     face-neighbors background, or lying on the volume border."""
     fg = mask.data
-    boundary = np.zeros_like(fg)
+    # interior: foreground off the border whose six face neighbours are all
+    # foreground, built in one buffer
+    interior = fg.copy()
     for axis in range(3):
-        lo, hi = along(axis, slice(0, 1)), along(axis, slice(fg.shape[axis] - 1, None))
-        boundary[lo] |= fg[lo]
-        boundary[hi] |= fg[hi]
+        interior[along(axis, slice(0, 1))] = False
+        interior[along(axis, slice(fg.shape[axis] - 1, None))] = False
         a, b = along(axis, slice(None, -1)), along(axis, slice(1, None))
-        boundary[a] |= fg[a] & ~fg[b]
-        boundary[b] |= fg[b] & ~fg[a]
-    return boundary
+        np.logical_and(interior[a], fg[b], out=interior[a])
+        np.logical_and(interior[b], fg[a], out=interior[b])
+    return np.greater(fg, interior, out=interior)
 
 
 def volume_diagonal_mm(mask: Mask) -> float:

@@ -82,31 +82,38 @@ def _mix(x: np.ndarray) -> np.ndarray:
     return x
 
 
-# standard_normals makes this many deviates at a time, so that its four
-# scratch arrays (256 KiB) stay in cache instead of streaming full-length
-# temporaries through memory
+# the noise loop makes this many deviates at a time, so that its four scratch
+# arrays (256 KiB) stay in cache instead of streaming full-length temporaries
+# through memory
 _CHUNK = 8192
-# state offsets of a chunk's pairs: the first state of pair i sits i * 2 gamma
-# past the first state of pair 0 (mod 2^64)
-_PAIR_STEPS = np.arange(_CHUNK, dtype=np.uint64) * np.uint64(2 * int(_GAMMA) & _U64)
+# state step between consecutive deviates (mod 2^64): each takes two counters
+_PAIR_STEP = np.uint64(2 * int(_GAMMA) & _U64)
+# state offsets of a chunk's deviates: deviate i sits i * 2 gamma past the
+# first one
+_PAIR_STEPS = np.arange(_CHUNK, dtype=np.uint64) * _PAIR_STEP
 
 
-def standard_normals(seed: int, start_counter: int, count: int) -> np.ndarray:
-    """One Gaussian deviate per counter pair via Box-Muller (cosine branch).
+def _normal_chunks(seed: int, start_counter: int, count: int, steps: np.ndarray, advance: int):
+    """Yield ``(lo, deviates)`` for consecutive chunks of ``count`` deviates
+    (``steps.size`` each, the last one shorter), in one scratch array that the
+    next chunk overwrites.
 
-    Deviate i uses counters start_counter + 2i and start_counter + 2i + 1, so
-    its two SplitMix64 states are c0 + 2i gamma and that plus gamma, with
-    c0 = seed + (start_counter + 1) gamma (mod 2^64).  The stream is made in
-    chunks of ``_CHUNK`` with the same operations in the same order as the
-    formula in the module docstring, so it does not depend on the chunking."""
-    out = np.empty(count)
-    s1, s2 = np.empty(_CHUNK, np.uint64), np.empty(_CHUNK, np.uint64)
-    u1, u2 = np.empty(_CHUNK), np.empty(_CHUNK)
+    Deviate ``d`` of the stream uses counters start_counter + 2d and
+    start_counter + 2d + 1, so its two SplitMix64 states are c0 + 2d gamma and
+    that plus gamma, with c0 = seed + (start_counter + 1) gamma (mod 2^64).
+    Element i of chunk j is deviate ``j * advance`` plus ``steps[i] / (2
+    gamma)``: ``steps`` holds state offsets, so a chunk can list its deviates
+    in any order.  Each chunk applies the same operations in the same order
+    as the formula in the module docstring, so a deviate does not depend on
+    the chunking."""
+    size = steps.size
+    s1, s2 = np.empty(size, np.uint64), np.empty(size, np.uint64)
+    u1, u2 = np.empty(size), np.empty(size)
     c0 = seed + (start_counter + 1) * int(_GAMMA)
-    for lo in range(0, count, _CHUNK):
-        n = min(_CHUNK, count - lo)
+    for j, lo in enumerate(range(0, count, size)):
+        n = min(size, count - lo)
         x, y, a, b = s1[:n], s2[:n], u1[:n], u2[:n]
-        np.add(_PAIR_STEPS[:n], np.uint64((c0 + lo * 2 * int(_GAMMA)) & _U64), out=x)
+        np.add(steps[:n], np.uint64((c0 + j * advance * 2 * int(_GAMMA)) & _U64), out=x)
         np.add(x, _GAMMA, out=y)
         _mix(x)
         _mix(y)
@@ -121,8 +128,27 @@ def standard_normals(seed: int, start_counter: int, count: int) -> np.ndarray:
         np.multiply(y, 2.0**-53, out=b)
         b *= 2.0 * np.pi
         np.cos(b, out=b)
-        np.multiply(a, b, out=out[lo:lo + n])
+        a *= b
+        yield lo, a
+
+
+def standard_normals(seed: int, start_counter: int, count: int) -> np.ndarray:
+    """One Gaussian deviate per counter pair via Box-Muller (cosine branch):
+    deviate i uses counters start_counter + 2i and start_counter + 2i + 1."""
+    out = np.empty(count)
+    for lo, n in _normal_chunks(seed, start_counter, count, _PAIR_STEPS, _CHUNK):
+        out[lo:lo + n.size] = n
     return out
+
+
+def _slab_steps(dims: tuple[int, int, int], planes: int) -> np.ndarray:
+    """State offsets of a slab of ``planes`` axis-0 planes in C order: voxel
+    (i, j, k) is deviate i + nx j + nx ny k of a volume's x-fastest stream."""
+    nx, ny, nz = dims
+    v = (np.arange(planes, dtype=np.uint64)[:, None, None]
+         + np.uint64(nx) * np.arange(ny, dtype=np.uint64)[:, None]
+         + np.uint64(nx * ny) * np.arange(nz, dtype=np.uint64))
+    return (v * _PAIR_STEP).ravel()
 
 
 # fixed parts of every phantom (docs/phantoms.md)
@@ -222,18 +248,16 @@ def scenario_spec(scenario: str, seed: int, **overrides) -> PhantomSpec:
     return PhantomSpec(scenario=scenario, seed=seed, **kwargs)
 
 
-def _ellipsoid_rho2(axes, center, radii) -> np.ndarray:
-    out = 0.0
-    for a, c, r in zip(axes, center, radii):
-        out = out + ((a - c) / r) ** 2
-    return out
+def _ellipsoid_rho2(axes, center, radii, out: np.ndarray) -> np.ndarray:
+    """Sum over the axes, in axis order, of ((x - c) / r)^2, into ``out``."""
+    t = [((a - c) / r) ** 2 for a, c, r in zip(axes, center, radii)]
+    return np.add(t[0] + t[1], t[2], out=out)
 
 
-def _sphere_mask(axes, center, radius) -> np.ndarray:
-    d2 = 0.0
-    for a, c in zip(axes, center):
-        d2 = d2 + (a - c) ** 2
-    return d2 < radius * radius
+def _sphere_d2(axes, center, out: np.ndarray) -> np.ndarray:
+    """Squared distance to ``center``, summed in axis order, into ``out``."""
+    t = [(a - c) ** 2 for a, c in zip(axes, center)]
+    return np.add(t[0] + t[1], t[2], out=out)
 
 
 def _check_fit(spec: PhantomSpec, center, radii, what: str) -> None:
@@ -247,52 +271,74 @@ def _check_fit(spec: PhantomSpec, center, radii, what: str) -> None:
 
 
 def generate(spec: PhantomSpec) -> GeneratedPhantom:
-    """Build (case, ground truth, annotations) from the spec, bit-reproducibly."""
+    """Build (case, ground truth, annotations) from the spec, bit-reproducibly.
+
+    It makes no float64 grid besides its outputs: each squared distance is
+    computed into the first image, which holds it until its masks are taken
+    (docs/phantoms.md, "Memory")."""
     dims, conf = spec.dims, spec.confidence_scale
     axes = axis_coords(dims, SPACING)
+    # the tumor's geometry is checked before any grid is allocated
+    if spec.scenario == "fragmented_small":
+        fragments = [tuple(ci + oi for ci, oi in zip(spec.center, off)) for off in FRAGMENT_OFFSETS_MM]
+        for c in fragments:
+            _check_fit(spec, c, (FRAGMENT_RADIUS_MM,) * 3, "fragment")
+    else:
+        _check_fit(spec, spec.center, spec.radii_mm, "tumor")
+    images = [np.empty(dims) for _ in range(spec.channels)]
+    scratch = images[0]
 
-    island = halo = rim = uncertain = beyond_shell = leak_band = None
+    island = halo = rim = uncertain = beyond_shell = leak_band = shell = None
 
     if spec.scenario == "fragmented_small":
         gt = np.zeros(dims, dtype=bool)
-        for off in FRAGMENT_OFFSETS_MM:
-            c = tuple(ci + oi for ci, oi in zip(spec.center, off))
-            _check_fit(spec, c, (FRAGMENT_RADIUS_MM,) * 3, "fragment")
-            gt |= _sphere_mask(axes, c, FRAGMENT_RADIUS_MM)
+        for c in fragments:
+            gt |= _sphere_d2(axes, c, scratch) < FRAGMENT_RADIUS_MM * FRAGMENT_RADIUS_MM
         logits = np.where(gt, conf, -conf)
-        rho2 = None
     else:
-        _check_fit(spec, spec.center, spec.radii_mm, "tumor")
-        rho2 = _ellipsoid_rho2(axes, spec.center, spec.radii_mm)
+        # rho2 is read until the next distance grid overwrites the scratch
+        rho2 = _ellipsoid_rho2(axes, spec.center, spec.radii_mm, scratch)
         gt = rho2 < 1.0
-        logits = np.where(gt, conf, -conf)
+        if spec.edge_contrast != 0.0:
+            # bright shell ring: rho in [lo, hi)
+            lo, hi = spec.shell_scales
+            shell = rho2 >= lo * lo
+            beyond_shell = rho2 >= hi * hi
+            np.greater(shell, beyond_shell, out=shell)
 
         if spec.scenario == "noise_island":
             uncertain = rho2 < UNCERTAIN_CORE_SCALE**2
-            logits[uncertain] = UNCERTAIN_LOGIT
             island_center = tuple(c + o for c, o in zip(spec.center, spec.island_offset_mm))
             halo_r = ISLAND_RADIUS_MM + ISLAND_HALO_WIDTH_MM
             _check_fit(spec, island_center, (halo_r,) * 3, "island (with halo)")
-            island = _sphere_mask(axes, island_center, ISLAND_RADIUS_MM)
-            if (island & gt).any():
+            d2 = _sphere_d2(axes, island_center, scratch)
+            island = d2 < ISLAND_RADIUS_MM * ISLAND_RADIUS_MM
+            halo = d2 < halo_r * halo_r
+            if np.logical_and(island, gt).any():
                 raise GeometryError("island overlaps the tumor; increase the offset")
             # real logits decay smoothly around an artifact: a sub-threshold
             # transition ring (not predicted, so it adds no false positives)
-            halo = _sphere_mask(axes, island_center, halo_r) & ~island & ~gt
-            logits[halo] = ISLAND_HALO_LOGIT
-            logits[island] = conf
+            np.greater(halo, island, out=halo)
+            np.greater(halo, gt, out=halo)
+            logits = np.where(gt, conf, -conf)
+            np.copyto(logits, UNCERTAIN_LOGIT, where=uncertain)
+            np.copyto(logits, ISLAND_HALO_LOGIT, where=halo)
+            np.copyto(logits, conf, where=island)
         elif spec.scenario in ("under_segmented_matched", "under_segmented_mismatched"):
             inner_r = tuple(r - SHRINK_MARGIN_MM for r in spec.radii_mm)
             band_r = tuple(r - BAND_MARGIN_MM for r in inner_r)
             if min(band_r) <= 0:
                 raise GeometryError("shrink and band margins consume the whole tumor")
-            eroded = _ellipsoid_rho2(axes, spec.center, inner_r) < 1.0
-            core = _ellipsoid_rho2(axes, spec.center, band_r) < 1.0
-            rim = gt & ~eroded
-            uncertain = eroded & ~core
+            eroded = _ellipsoid_rho2(axes, spec.center, inner_r, scratch) < 1.0
+            rim = np.greater(gt, eroded)
+            core = _ellipsoid_rho2(axes, spec.center, band_r, scratch) < 1.0
+            uncertain = np.greater(eroded, core, out=eroded)
             logits = np.where(gt, spec.rim_logit, -conf)
-            logits[uncertain] = BAND_LOGIT
-            logits[core] = conf
+            np.copyto(logits, BAND_LOGIT, where=uncertain)
+            np.copyto(logits, conf, where=core)
+            del core
+        else:
+            logits = np.where(gt, conf, -conf)
 
         if spec.leak_band_width_mm > 0.0:
             # adjacent non-tumor tissue the network is only mildly negative
@@ -303,34 +349,40 @@ def generate(spec: PhantomSpec) -> GeneratedPhantom:
             # with g == 1 the boundary penalty erodes the band instead
             leak_outer = tuple(r + spec.leak_band_width_mm for r in spec.radii_mm)
             _check_fit(spec, spec.center, leak_outer, "leak band")
-            leak_band = (_ellipsoid_rho2(axes, spec.center, leak_outer) < 1.0) & ~gt
+            leak_band = _ellipsoid_rho2(axes, spec.center, leak_outer, scratch) < 1.0
+            np.greater(leak_band, gt, out=leak_band)
             if island is not None:
-                leak_band &= ~(island | halo)  # island structures keep their logits
-            logits[leak_band] = spec.leak_band_logit
+                # island structures keep their logits
+                np.greater(leak_band, island, out=leak_band)
+                np.greater(leak_band, halo, out=leak_band)
+            np.copyto(logits, spec.leak_band_logit, where=leak_band)
 
-    # image: uniform tumor / background intensities, optional rim shift and
-    # bright shell ring, plus per-channel counter-addressed Gaussian noise
-    base = np.where(gt, TUMOR_MEAN, BACKGROUND_MEAN)
-    if rim is not None and spec.rim_offset_sigma != 0.0:
-        base = base + np.where(rim, spec.rim_offset_sigma * TUMOR_STD, 0.0)
-    if leak_band is not None:
-        base = np.where(leak_band, TUMOR_MEAN + spec.leak_band_offset_sigma * TUMOR_STD, base)
-    if spec.edge_contrast != 0.0 and rho2 is not None:
-        lo, hi = spec.shell_scales
-        shell = (rho2 >= lo * lo) & (rho2 < hi * hi)
-        base = base + np.where(shell, spec.edge_contrast, 0.0)
-        beyond_shell = rho2 >= hi * hi
-    std_field = np.where(gt, TUMOR_STD, BACKGROUND_STD)
-
-    nvox = int(np.prod(dims))
+    # image: per-channel counter-addressed Gaussian noise times the tumor or
+    # background std, plus a base of uniform tumor / background intensities,
+    # the optional rim shift and leak band texture, and the bright shell ring.
+    # The base is written region by region into the image itself; the noise
+    # follows in slabs of axis-0 planes, addressed in C order, so no
+    # full-grid noise, std or base array exists.
+    nvox = gt.size
+    planes = max(1, _CHUNK // (dims[1] * dims[2]))
+    steps = _slab_steps(dims, planes)
+    inside_flat = gt.reshape(-1)
     channels = []
-    for ch in range(spec.channels):
-        # counters follow x-fastest order; one copy to the C layout, then
-        # base + std_field * noise in place, contiguous
-        image = np.ascontiguousarray(
-            standard_normals(spec.seed, 2 * ch * nvox, nvox).reshape(dims, order="F"))
-        image *= std_field
-        image += base
+    for ch, image in enumerate(images):
+        image.fill(BACKGROUND_MEAN)
+        np.copyto(image, TUMOR_MEAN, where=gt)
+        if rim is not None and spec.rim_offset_sigma != 0.0:
+            np.add(image, spec.rim_offset_sigma * TUMOR_STD, out=image, where=rim)
+        if leak_band is not None:
+            np.copyto(image, TUMOR_MEAN + spec.leak_band_offset_sigma * TUMOR_STD, where=leak_band)
+        if shell is not None:
+            np.add(image, spec.edge_contrast, out=image, where=shell)
+        image_flat = image.reshape(-1)
+        for lo, n in _normal_chunks(spec.seed, 2 * ch * nvox, nvox, steps, planes):
+            inside = inside_flat[lo:lo + n.size]
+            np.multiply(n, TUMOR_STD, out=n, where=inside)
+            np.multiply(n, BACKGROUND_STD, out=n, where=~inside)
+            image_flat[lo:lo + n.size] += n
         channels.append(Volume(image, SPACING))
 
     case = Case(

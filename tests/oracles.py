@@ -1,7 +1,8 @@
 """Brute-force reference implementations used to validate the library's
 metric paths.  Deliberately naive: all-pairs distances, the plain KD-tree
-hd95, literal 2^n sign enumeration, hand-rolled average ranks.  These never
-call the code they check.
+hd95, a surface extraction with one full-size temporary per term, literal
+2^n sign enumeration, hand-rolled average ranks.  These never call the code
+they check.
 """
 
 import itertools
@@ -9,6 +10,8 @@ import math
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+from segtta.volume import along
 
 
 def surface_points_mm(mask):
@@ -106,3 +109,19 @@ def wilcoxon_exact(diffs, direction):
         if w >= observed - 1e-9:
             hits += 1
     return hits / 2.0**n
+
+
+
+def surface_voxels(mask):
+    """Boundary voxels by ORing each border plane and each one-sided face
+    difference into a zeroed grid, one full-size temporary per term."""
+    fg = mask.data
+    boundary = np.zeros_like(fg)
+    for axis in range(3):
+        lo, hi = along(axis, slice(0, 1)), along(axis, slice(fg.shape[axis] - 1, None))
+        boundary[lo] |= fg[lo]
+        boundary[hi] |= fg[hi]
+        a, b = along(axis, slice(None, -1)), along(axis, slice(1, None))
+        boundary[a] |= fg[a] & ~fg[b]
+        boundary[b] |= fg[b] & ~fg[a]
+    return boundary

@@ -287,6 +287,17 @@ class TestHd95:
         expected = oracles.surface_points_mm(m)
         assert np.array_equal(np.sort(got, axis=0), np.sort(expected, axis=0))
 
+    def test_surface_voxels_match_the_full_temporary_oracle(self):
+        # 1-8 voxel axes, singleton axes included, at densities from sparse
+        # to nearly full
+        rng = np.random.default_rng(2024)
+        for _ in range(600):
+            dims = tuple(int(n) for n in rng.integers(1, 9, size=3))
+            m = Mask(rng.uniform(size=dims) < rng.uniform(0.05, 0.95), SP)
+            got = surface_voxels(m)
+            assert got.dtype == np.bool_ and got.shape == dims
+            assert np.array_equal(got, oracles.surface_voxels(m))
+
 
 class TestWilcoxon:
     def test_all_positive_n10_exact(self):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,9 @@ def sha256(arr) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
 
+ANNOTATION_MASKS = ("island", "halo", "leak_band", "rim", "uncertain", "beyond_shell")
+
+
 # Digests of the reproducibility contract, pinned from the unchunked
 # implementation of standard_normals (one full-length array per step of the
 # formula in the phantom module docstring).  The counts straddle the edges of
@@ -51,7 +55,9 @@ NORMALS_DIGESTS = [
     (24581, "e704668ed6eaf6fadbb6d84876e4b3cf02ed9c617b6e4042b89e882345189a05"),
 ]
 
-# image (all channels, stacked), logits and gt of each scenario at seed 5
+# image (all channels, stacked), logits, gt and annotation masks at seed 5.
+# Together the entries reach every branch of generate: each scenario, the
+# leak band, the shell ring (edge_contrast), a second channel and a 64^3 grid.
 PHANTOM_DIGESTS = [
     ("clean_confident", {}, {
         "image": "e7ddb02c6a41b4f537a17a230b604212e9f69e0d472f8cf0c2c949861129a423",
@@ -62,16 +68,24 @@ PHANTOM_DIGESTS = [
         "image": "fae4c1c2ef601780ba5ba26a13f6bf323368cc113365ea4fc05814e4e51c859f",
         "logits": "379ef3ec5d27687247f4bc2b4784d114e18f675d421fe3a4d4be7e226aafbb17",
         "gt": "7a1af15b07a3ec53247aa3a7b7098db63d7007f176a791a021fa086612aa866c",
+        "island": "b78fab7d976363809ae01c241dcd6c3edff5518d8166a175eb54d890069037f2",
+        "halo": "4d85cccd59ce8772d4b7c4d16381f5e63ef2ead9c5bce222a8819f114a104023",
+        "leak_band": "2aa06390419dd4f7c00f128955800bcabaa278fa743f5ca40f72ad5178c11bf5",
+        "uncertain": "c62aaa0c3a0b21549c2afdd19b04b4d54684de91ec548077132010941063fa22",
     }),
     ("under_segmented_matched", {}, {
         "image": "dee8a7f4080952981fea2983ddb93973bea16e45bc62860636f0484371962ad7",
         "logits": "e701fe73d9fd1f424e7a59ba7df5018b70f1a23214c9d71ab86bd01ec9a564d4",
         "gt": "3092969ba4045027e4adde519c1a0177bf685f4e24b16b9840df9298c727b2b4",
+        "rim": "5a6e2762700d4e0813af5011cf4649ff89a92a90f377864d8cb43048de7cea5c",
+        "uncertain": "514fe20cfe05e8f63e27d297822d8a555a45afc04a1a25ff58ecd8d47372daab",
     }),
     ("under_segmented_mismatched", {}, {
         "image": "b1df56e0f9e03786e352545987a68a08616dedd1c6b56c24f950b3e24fb60965",
         "logits": "e701fe73d9fd1f424e7a59ba7df5018b70f1a23214c9d71ab86bd01ec9a564d4",
         "gt": "3092969ba4045027e4adde519c1a0177bf685f4e24b16b9840df9298c727b2b4",
+        "rim": "5a6e2762700d4e0813af5011cf4649ff89a92a90f377864d8cb43048de7cea5c",
+        "uncertain": "514fe20cfe05e8f63e27d297822d8a555a45afc04a1a25ff58ecd8d47372daab",
     }),
     ("fragmented_small", {}, {
         "image": "03bcee1ec8e8e0c4d5b98c773b50ff6afacfd9248063db03b1b478b866d4d0ce",
@@ -85,6 +99,23 @@ PHANTOM_DIGESTS = [
     }),
     ("clean_confident", {"channels": 2}, {
         "image": "da7d350896043af3fa4f5a0f6d34e3315c719a8d7293013c4152087de150eb2b",
+    }),
+    ("noise_island", {"edge_contrast": 0.3}, {
+        "image": "723077424ae0abf06279bf77b2dfcc1b446949421909517174ab564254a38882",
+        "logits": "379ef3ec5d27687247f4bc2b4784d114e18f675d421fe3a4d4be7e226aafbb17",
+        "gt": "7a1af15b07a3ec53247aa3a7b7098db63d7007f176a791a021fa086612aa866c",
+        "island": "b78fab7d976363809ae01c241dcd6c3edff5518d8166a175eb54d890069037f2",
+        "halo": "4d85cccd59ce8772d4b7c4d16381f5e63ef2ead9c5bce222a8819f114a104023",
+        "leak_band": "2aa06390419dd4f7c00f128955800bcabaa278fa743f5ca40f72ad5178c11bf5",
+        "uncertain": "c62aaa0c3a0b21549c2afdd19b04b4d54684de91ec548077132010941063fa22",
+        "beyond_shell": "5bedc97c493276dc176928393fc1580cf09924f150d21a7cd980c8b73fd6f48b",
+    }),
+    ("under_segmented_mismatched", {"dims": (64, 64, 64), "channels": 2}, {
+        "image": "2d001cb9015b03509ae5ec2a6d20ae3c7c5d8db610672fc41a6d171398a9f81f",
+        "logits": "511b39768594d212939f20b34a081310ed17541ef9b7a4c5d35685ce8d65cace",
+        "gt": "691b9493f075701b1f4c5fb2a56de649f64beae6901483680bd3c94a233a0dc2",
+        "rim": "68f4df5d6c173b796dc126795025cd09a1841abe172a148f5aaa965bcef6b782",
+        "uncertain": "a1b2fad81bf8516979a841e0ba1251a1747623d665113f5dad6d152e3a466211",
     }),
 ]
 
@@ -141,6 +172,7 @@ class TestGenerate:
 
     @pytest.mark.parametrize("scenario, overrides, digests", PHANTOM_DIGESTS,
                              ids=[f"{s}{o.get('dims', '')}{'-ch2' if 'channels' in o else ''}"
+                                  f"{'-edge' if 'edge_contrast' in o else ''}"
                                   for s, o, _ in PHANTOM_DIGESTS])
     def test_outputs_match_pinned_digests(self, scenario, overrides, digests):
         g = generate(scenario_spec(scenario, seed=5, **overrides))
@@ -149,7 +181,11 @@ class TestGenerate:
             "logits": sha256(g.case.logits0.data),
             "gt": sha256(g.gt.data),
         }
-        assert {k: got[k] for k in digests} == digests
+        got.update({name: sha256(getattr(g.annotations, name).data) for name in ANNOTATION_MASKS
+                    if getattr(g.annotations, name) is not None})
+        assert {k: got.get(k) for k in digests} == digests
+        if "gt" in digests:  # a full entry: no annotation mask goes unpinned
+            assert got.keys() == digests.keys()
 
     @pytest.mark.parametrize("scenario, overrides",
                              [(s, {}) for s in phantom.SCENARIOS]
@@ -160,6 +196,48 @@ class TestGenerate:
             f.name: _ints_where_integral(getattr(spec, f.name)) for f in dataclasses.fields(spec)})
         assert as_ints == spec and fileio.spec_to_json(as_ints) == fileio.spec_to_json(spec)
         assert phantom_bytes(generate(as_ints)) == phantom_bytes(generate(spec))
+
+    @pytest.mark.parametrize("scenario, dims", [
+        ("noise_island", (52, 41, 40)),
+        ("under_segmented_mismatched", (41, 37, 43)),
+        ("fragmented_small", (33, 29, 41)),
+        ("clean_confident", (40, 96, 96)),  # one axis-0 plane is more than a noise chunk
+    ])
+    def test_image_is_the_stream_times_std_plus_base(self, scenario, dims):
+        # the full-grid formula: the x-fastest stream laid out on the grid,
+        # times the tumor / background std, plus the base intensities
+        spec = scenario_spec(scenario, seed=2**64 - 3, dims=dims, channels=2)
+        g = generate(spec)
+        ann, gt, nvox = g.annotations, g.gt.data, g.gt.data.size
+        base = np.where(gt, phantom.TUMOR_MEAN, phantom.BACKGROUND_MEAN)
+        if ann.rim is not None:
+            base = base + np.where(ann.rim.data, spec.rim_offset_sigma * phantom.TUMOR_STD, 0.0)
+        if ann.leak_band is not None:
+            base = np.where(ann.leak_band.data,
+                            phantom.TUMOR_MEAN + spec.leak_band_offset_sigma * phantom.TUMOR_STD, base)
+        std = np.where(gt, phantom.TUMOR_STD, phantom.BACKGROUND_STD)
+        for ch, image in enumerate(g.case.image):
+            noise = standard_normals(spec.seed, 2 * ch * nvox, nvox).reshape(dims, order="F")
+            assert image.data.flags.c_contiguous
+            assert image.data.tobytes() == (noise * std + base).tobytes()
+
+    @pytest.mark.parametrize("scenario, overrides",
+                             [(s, {}) for s in phantom.SCENARIOS] + [("noise_island", {"edge_contrast": 0.3})],
+                             ids=[*phantom.SCENARIOS, "noise_island-edge"])
+    def test_allocates_little_besides_its_outputs(self, scenario, overrides):
+        # at most a noise chunk's scratch and a few bool grids; a full float64
+        # temporary at 64^3 alone is 2 MiB
+        spec = scenario_spec(scenario, seed=5, dims=(64, 64, 64), **overrides)
+        generate(spec)  # fills the axis-coordinate cache
+        tracemalloc.start()
+        try:
+            g = generate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        masks = [m for m in vars(g.annotations).values() if hasattr(m, "data")]
+        returned = sum(v.data.nbytes for v in (*g.case.image, g.case.logits0, g.gt, *masks))
+        assert returned <= peak <= returned + 2.5 * 2**20
 
     def test_seed_changes_noise_not_geometry(self):
         g1 = generate(scenario_spec("noise_island", seed=1))
