@@ -154,14 +154,13 @@ def _face_views(p: np.ndarray, grad: np.ndarray, a: np.ndarray, b: np.ndarray, s
 
 class _Slab(NamedTuple):
     """The views of one slab ``s`` of axis-0 planes: of P, the accumulator
-    ``grad`` and the anchor logits ``z0``, of the slab-sized chain factor
-    ``pq`` and scratch ``a`` and ``b``, and the face loop's ``faces``."""
+    ``grad`` and the anchor logits ``z0``, of the slab-sized scratch ``a``
+    and ``b``, and the face loop's ``faces``."""
 
     s: slice
     p: np.ndarray
     grad: np.ndarray
     z0: np.ndarray
-    pq: np.ndarray
     a: np.ndarray
     b: np.ndarray
     faces: tuple[_Faces, ...]
@@ -170,23 +169,21 @@ class _Slab(NamedTuple):
 class _Workspace:
     """The buffers one objective reuses on every call, and their ``slabs``
     (:class:`_Slab`), cut by :func:`volume.slab_planes`.  Full-grid: P and
-    the gradient accumulator ``grad``.  Slab-sized: the chain factor, one
-    slab, and two scratch arrays, one slab plus the plane below it (the face
-    loop's halo).  Also the voxel count ``n`` and the current call's
-    ``value`` flag."""
+    the gradient accumulator ``grad``.  Slab-sized: two scratch arrays, one
+    slab plus the plane below it (the face loop's halo), which then take the
+    chain factor and the anchor.  Also ``n`` and the call's ``value`` flag."""
 
     def __init__(self, z0: np.ndarray, face_w: Sequence[np.ndarray] | None):
         self.n = z0.size
         self.p, self.grad = np.empty(z0.shape), np.empty(z0.shape)
         n0, rest = z0.shape[0], z0.shape[1:]
         planes = slab_planes(z0.shape)
-        pq = np.empty((planes, *rest))
         a, b = (np.empty((min(planes + 1, n0), *rest)) for _ in range(2))
         self.slabs = []
         for lo in range(0, n0, planes):
             s = slice(lo, min(lo + planes, n0))
             k = s.stop - lo
-            self.slabs.append(_Slab(s, self.p[s], self.grad[s], z0[s], pq[:k], a[:k], b[:k],
+            self.slabs.append(_Slab(s, self.p[s], self.grad[s], z0[s], a[:k], b[:k],
                                     _face_views(self.p, self.grad, a, b, s, face_w)))
 
     def load(self, z: np.ndarray, value: bool) -> None:
@@ -219,14 +216,15 @@ def _entropy(ws: _Workspace, sl: _Slab, z: np.ndarray, w: float) -> float:
     # written in the logits (-ln P = softplus(-z), -ln(1-P) = softplus(z));
     # dH/dP = -z / N.  With softplus(x) = max(x, 0) + softplus(-|x|) the value
     # is a sum of three non-negative fields: softplus(-|z|) + P max(-z, 0) +
-    # (1-P) max(z, 0).  The chain-factor buffer is free until the objective
-    # builds the slab's factor, after every kernel.
+    # (1-P) max(z, 0).  The softplus field is summed before its buffer takes
+    # 1-P.
     value = 0.0
     if ws.value:
-        sp, relu, q = sl.a, sl.b, sl.pq
+        sp, relu = sl.a, sl.b
         np.log1p(np.exp(np.negative(np.abs(z, out=sp), out=sp), out=sp), out=sp)
-        np.subtract(1.0, sl.p, out=q)
-        value = float(sp.sum()) + _dot(q, np.maximum(z, 0.0, out=relu))
+        value = float(sp.sum())
+        q = np.subtract(1.0, sl.p, out=sp)
+        value += _dot(q, np.maximum(z, 0.0, out=relu))
         value += _dot(sl.p, np.maximum(np.negative(z, out=relu), 0.0, out=relu))
     np.multiply(z, -w, out=sl.grad)
     return value
@@ -369,7 +367,7 @@ def objective(z0: np.ndarray, ent: float = 0.0, face: float = 0.0,
                 face_sum += _charbonnier_faces(ws, sl.faces)
             if add_term is not None:
                 add_term(g, sl.s)
-            pq = np.subtract(1.0, sl.p, out=sl.pq)
+            pq = np.subtract(1.0, sl.p, out=sl.a)
             pq *= sl.p
             pq *= chain
             g *= pq
@@ -471,12 +469,19 @@ def edge_map(channels: Sequence[Volume], cfg: EdgeMapConfig = EdgeMapConfig()) -
     sigma_vox = [cfg.sigma_mm / s for s in spacing]
     g = None
     for ch in channels:
-        smooth = _gaussian_nearest(ch.data, sigma_vox)
-        mag = _gradient_magnitude(smooth, spacing)
-        p99 = float(np.percentile(mag, 99.0))
-        norm = mag / p99 if p99 > 0.0 else np.zeros_like(mag)
-        g_c = 1.0 / (1.0 + cfg.alpha * norm * norm)
-        g = g_c if g is None else np.minimum(g, g_c)
+        # the smoothed image is freed before the percentile copies the
+        # magnitude, and g_c is built in the differences' scratch grid
+        norm, g_c = _gradient_magnitude(_gaussian_nearest(ch.data, sigma_vox), spacing)
+        p99 = float(np.percentile(norm, 99.0))
+        if p99 > 0.0:
+            norm /= p99
+        else:
+            norm.fill(0.0)
+        np.multiply(norm, cfg.alpha, out=g_c)
+        g_c *= norm
+        g_c += 1.0
+        np.divide(1.0, g_c, out=g_c)
+        g = g_c if g is None else np.minimum(g, g_c, out=g)
     return Volume(g, spacing)
 
 
@@ -524,18 +529,21 @@ def _gaussian_nearest(x: np.ndarray, sigmas: Sequence[float],
     return out
 
 
-def _gradient_magnitude(arr: np.ndarray, spacing: Spacing) -> np.ndarray:
-    out = np.zeros_like(arr)
+def _gradient_magnitude(arr: np.ndarray, spacing: Spacing) -> tuple[np.ndarray, np.ndarray]:
+    # the magnitude of the spacing-scaled central differences (one-sided at
+    # the ends), and the scratch grid that each axis's squares went through
+    out, d = np.zeros_like(arr), np.empty_like(arr)
     for axis, s in enumerate(spacing):
         n = arr.shape[axis]
         if n == 1:
             continue
-        d = np.empty_like(arr)
-        d[along(axis, slice(1, -1))] = arr[along(axis, slice(2, None))] - arr[along(axis, slice(None, -2))]
+        np.subtract(arr[along(axis, slice(2, None))], arr[along(axis, slice(None, -2))],
+                    out=d[along(axis, slice(1, -1))])
         first, second = along(axis, slice(0, 1)), along(axis, slice(1, 2))
-        d[first] = arr[second] - arr[first]
+        np.subtract(arr[second], arr[first], out=d[first])
         last, prior = along(axis, slice(n - 1, n)), along(axis, slice(n - 2, n - 1))
-        d[last] = arr[last] - arr[prior]
+        np.subtract(arr[last], arr[prior], out=d[last])
         d /= 2.0 * s
-        out += d * d
-    return np.sqrt(out)
+        d *= d
+        out += d
+    return np.sqrt(out, out=out), d

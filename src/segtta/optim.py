@@ -7,11 +7,11 @@ size.
 
 The loop allocates no full-grid array per step.  The objective returns a
 gradient buffer that it overwrites on its next call, and :func:`adam_step`
-updates the moments and the logits in place.  Both work through slabs of
-axis-0 planes (:func:`volume.slab_planes`): a step keeps z, P, the gradient
-and the two moments full-grid (and diffuse its three face-weight grids), and
-every scratch array holds one slab.  Each step is still one objective call
-and one :func:`adam_step` call.
+updates the moments and the logits in place, with that buffer as scratch.
+Both work through slabs of axis-0 planes (:func:`volume.slab_planes`): a
+step keeps z, P, the gradient and the two moments full-grid (and diffuse its
+three face-weight grids), and the objective's two scratch arrays hold one
+slab each.  Each step is one objective call and one :func:`adam_step` call.
 
 Adam needs only the gradient, so the loss value is computed on sampled steps
 alone: step 0, every :data:`LOSS_EVERY`-th step and the last step.
@@ -54,22 +54,17 @@ class OptimizerProtocol:
 
 @dataclass
 class AdamState:
-    """Unnormalised first/second moment sums (see :func:`adam_step`), the
-    step counter, and two scratch arrays of one slab that :func:`adam_step`
-    works in; their length along axis 0 is the slab thickness."""
+    """Unnormalised first/second moment sums (see :func:`adam_step`) and the
+    step counter."""
 
     m: np.ndarray
     v: np.ndarray
     t: int
     protocol: OptimizerProtocol
-    num: np.ndarray
-    den: np.ndarray
 
     @classmethod
     def fresh(cls, shape, protocol: OptimizerProtocol) -> "AdamState":
-        slab = (slab_planes(shape), *shape[1:])
-        return cls(m=np.zeros(shape), v=np.zeros(shape), t=0, protocol=protocol,
-                   num=np.empty(slab), den=np.empty(slab))
+        return cls(m=np.zeros(shape), v=np.zeros(shape), t=0, protocol=protocol)
 
 
 @dataclass(frozen=True)
@@ -109,11 +104,12 @@ def adam_step(state: AdamState, z: np.ndarray, grad: np.ndarray) -> tuple[AdamSt
     sqrt(v_hat) = s_t sqrt(V), this is Adam's update in exact arithmetic; the
     scalars take the bias correction off the full grid.
 
-    The update is in place: ``state`` (moments, counter, scratch) and ``z`` are
+    The update is in place: ``state`` (moments, counter) and ``z`` are
     overwritten and returned, bit-identical to the out-of-place form of the
-    formula above.  It runs slab by slab over axis 0, in slabs as thick as
-    the scratch arrays.  A non-finite gradient anywhere raises before
-    anything is written.
+    formula above.  ``grad`` is consumed: each slab of it holds g^2, then
+    sqrt(V) + eps_t, then the step.  It runs slab by slab over axis 0, in
+    slabs of :func:`volume.slab_planes` planes.  A non-finite gradient
+    anywhere raises before anything is written.
     """
     # a sum is finite only if every entry is; the exact test runs only when it
     # is not, so that an overflowing sum of finite entries still passes
@@ -123,18 +119,17 @@ def adam_step(state: AdamState, z: np.ndarray, grad: np.ndarray) -> tuple[AdamSt
     state.t += 1
     s = math.sqrt((1.0 - pr.beta2) / (1.0 - pr.beta2**state.t))
     k = pr.lr * (1.0 - pr.beta1) / (1.0 - pr.beta1**state.t) / s
-    planes = len(state.num)
+    planes = slab_planes(z.shape)
     for a in range(0, len(z), planes):
         sl = slice(a, a + planes)
         m, v, g = state.m[sl], state.v[sl], grad[sl]
-        num, den = state.num[:len(m)], state.den[:len(m)]
         m *= pr.beta1
         m += g
         v *= pr.beta2
-        v += np.multiply(g, g, out=num)
-        np.sqrt(v, out=den)
+        v += np.multiply(g, g, out=g)
+        den = np.sqrt(v, out=g)
         den += pr.eps_adam / s
-        step = np.divide(m, den, out=num)
+        step = np.divide(m, den, out=g)
         step *= k
         z[sl] -= step
     return state, z

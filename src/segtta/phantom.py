@@ -66,12 +66,6 @@ class GeometryError(ValueError):
     """The requested tumor geometry does not fit the volume with margin."""
 
 
-def splitmix64(seed: int, counters: np.ndarray) -> np.ndarray:
-    """Counter-addressable 64-bit stream: value(seed, k), vectorized over k."""
-    x = np.uint64(seed & _U64) + (counters.astype(np.uint64) + np.uint64(1)) * _GAMMA
-    return _mix(x)
-
-
 def _mix(x: np.ndarray) -> np.ndarray:
     """The SplitMix64 finalizer, in place on a uint64 array."""
     x ^= x >> np.uint64(30)

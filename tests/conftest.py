@@ -24,8 +24,8 @@ MIXED_TEMPLATE = [
 def use_slabs(monkeypatch):
     """``use_slabs(dims, planes)`` sets the refinement step's slab size so that a
     ``dims`` grid is cut into slabs of about ``planes`` axis-0 planes (None:
-    one slab), for the objectives and Adam states built after it; it returns
-    the thickness set."""
+    one slab), for the objectives built after it and for every Adam step,
+    which cuts its slabs on each call; it returns the thickness set."""
     def use(dims, planes):
         slabs = 1 if planes is None else -(-dims[0] // planes)
         monkeypatch.setattr(volume, "SLAB_VOXELS", math.prod(dims) // slabs)

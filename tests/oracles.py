@@ -1,14 +1,15 @@
 """Brute-force reference implementations used to validate the library's
 metric paths.  Deliberately naive: all-pairs distances, the plain KD-tree
-hd95, a surface extraction with one full-size temporary per term, literal
-2^n sign enumeration, hand-rolled average ranks.  These never call the code
-they check.
+hd95, a surface extraction and an edge map with one full-size temporary per
+term, literal 2^n sign enumeration, hand-rolled average ranks, a SplitMix64
+in Python integers.  These never call the code they check.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy.ndimage import gaussian_filter
 from scipy.spatial import cKDTree
 
 from segtta.volume import along
@@ -125,3 +126,46 @@ def surface_voxels(mask):
         boundary[a] |= fg[a] & ~fg[b]
         boundary[b] |= fg[b] & ~fg[a]
     return boundary
+
+
+def edge_map(channels, sigma_mm=1.0, alpha=10.0):
+    """The edge-stopping map as one expression per step, a fresh grid each:
+    scipy's Gaussian, spacing-scaled central differences (one-sided at the
+    ends), the magnitude over its 99th percentile (zero when that is not
+    positive), 1 / (1 + alpha m^2), and the minimum over channels."""
+    spacing = channels[0].spacing
+    g = None
+    for ch in channels:
+        smooth = gaussian_filter(ch.data.astype(np.float64), [sigma_mm / s for s in spacing],
+                                 mode="nearest")
+        sq = np.zeros_like(smooth)
+        for axis, s in enumerate(spacing):
+            n = smooth.shape[axis]
+            if n == 1:
+                continue
+            d = np.empty_like(smooth)
+            d[along(axis, slice(1, -1))] = (smooth[along(axis, slice(2, None))]
+                                            - smooth[along(axis, slice(None, -2))])
+            d[along(axis, slice(0, 1))] = (smooth[along(axis, slice(1, 2))]
+                                           - smooth[along(axis, slice(0, 1))])
+            d[along(axis, slice(n - 1, n))] = (smooth[along(axis, slice(n - 1, n))]
+                                               - smooth[along(axis, slice(n - 2, n - 1))])
+            d /= 2.0 * s
+            sq += d * d
+        mag = np.sqrt(sq)
+        p99 = float(np.percentile(mag, 99.0))
+        norm = mag / p99 if p99 > 0.0 else np.zeros_like(mag)
+        g_c = 1.0 / (1.0 + alpha * norm * norm)
+        g = g_c if g is None else np.minimum(g, g_c)
+    return g
+
+
+_U64 = 2**64 - 1
+
+
+def splitmix64(seed, k):
+    """Output k of the SplitMix64 stream of ``seed``, in Python integers."""
+    x = (seed + (k + 1) * 0x9E3779B97F4A7C15) & _U64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _U64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _U64
+    return x ^ (x >> 31)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter  # reference oracle for the numpy Gaussian
 
+import oracles
 from segtta import gradcheck, losses, phantom
 from segtta.volume import Volume, sigmoid
 
@@ -157,6 +158,36 @@ class TestEdgeMap:
         got = losses._gaussian_nearest(x, sigmas, chunk_bytes)
         assert got.shape == expected.shape and got.dtype == np.float64
         assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    @pytest.mark.parametrize("dims, spacing, channels, constant", [
+        ((9, 8, 7), SPACING, 1, False),
+        ((1, 6, 5), SPACING, 1, False),        # singleton axes
+        ((6, 1, 1), (1.0, 1.0, 1.0), 1, False),
+        ((1, 1, 1), SPACING, 1, False),
+        ((2, 5, 2), SPACING, 1, False),        # axes of 2
+        ((2, 2, 2), (0.5, 2.0, 1.0), 2, False),
+        ((10, 7, 6), (0.7, 1.0, 1.4), 2, False),  # two channels
+        ((11, 9, 8), SPACING, 3, False),
+        ((6, 6, 6), SPACING, 1, True),         # constant image: p99 = 0
+        ((6, 5, 4), SPACING, 2, True),
+    ])
+    @pytest.mark.parametrize("cfg", [losses.EdgeMapConfig(), losses.EdgeMapConfig(0.0, 3.0)])
+    def test_matches_the_full_temporary_oracle(self, dims, spacing, channels, constant, cfg):
+        rng = np.random.default_rng(sum(dims) + channels)
+        image = [vol(np.full(dims, 2.5 + c) if constant else rng.normal(scale=30.0, size=dims),
+                     spacing) for c in range(channels)]
+        got = losses.edge_map(image, cfg)
+        expected = oracles.edge_map(image, cfg.sigma_mm, cfg.alpha)
+        assert got.data.shape == dims and got.data.tobytes() == expected.tobytes()
+
+    def test_a_bright_voxel_over_a_zero_percentile_is_ignored(self):
+        # p99 = 0 while one voxel has a nonzero gradient: norm is all zero
+        arr = np.zeros((10, 10, 10))
+        arr[5, 5, 5] = 1.0
+        cfg = losses.EdgeMapConfig(sigma_mm=0.0)
+        got = losses.edge_map([vol(arr, (1, 1, 1))], cfg)
+        assert np.all(got.data == 1.0)
+        assert got.data.tobytes() == oracles.edge_map([vol(arr, (1, 1, 1))], 0.0, 10.0).tobytes()
 
     def test_64_cube_phantom_matches_the_scipy_filter(self, monkeypatch):
         # the refine_64 benchmark case: the edge map keeps every bit of the

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,6 +214,74 @@ class TestRefine:
         ones = refine(case, "diffuse", protocol=proto)
         assert unit.final_z.data.tobytes() == ones.final_z.data.tobytes()
         assert unit.loss_values == ones.loss_values
+
+
+# sha256 of final_z and of loss_values (as float64 bytes) after 60 steps on
+# small_case(seed=4, dims=(7, 6, 5)).  final_z keeps its bits at every slab
+# thickness; the sampled losses are summed slab by slab, so diffuse's depend
+# on it.
+PINNED_FINAL_Z = {
+    "compact": "954e2323713bb12dc5f84cd650c6f94f7b92d914e7fd8d8c82709346fab89901",
+    "diffuse": "d4a60bb511e1d1205bcdc8c994f50ef962f30c81f2ec7c4ff0f6834115c83e88",
+    "diffuse_g1": "1e8bbc28b331c9d8cf961b14a77ab274507231a11bc832ec0142020bc97a85a6",
+}
+PINNED_LOSSES = {
+    ("compact", None): "eacc1e99adfffde58b47a635595710d456e282fa81de9740eca8d0bff114a8fa",
+    ("compact", 1): "eacc1e99adfffde58b47a635595710d456e282fa81de9740eca8d0bff114a8fa",
+    ("compact", 2): "eacc1e99adfffde58b47a635595710d456e282fa81de9740eca8d0bff114a8fa",
+    ("diffuse", None): "ee47ceba935f67d7b5d1421fe7a008b4161a3c1996accf1614d49d992aedff21",
+    ("diffuse", 1): "236a28d48c967fb899daf2ae5cc6a879e78c37154049b2262761d8b6e6b594c3",
+    ("diffuse", 2): "236a28d48c967fb899daf2ae5cc6a879e78c37154049b2262761d8b6e6b594c3",
+    ("diffuse_g1", None): "4f40d961cbda6aed4ec1a61ea74ef14c5e478ac144a35e75f613b37023950479",
+    ("diffuse_g1", 1): "85f3853e24a27c9b5dc6d8ced4a707b894ae3d4b13b969c2a588390f091e667c",
+    ("diffuse_g1", 2): "241a0ab153a627b7ff82f6622f5b0f51ef5491a1430da88d49ef644c47c57489",
+}
+
+
+@pytest.mark.parametrize("planes", [None, 1, 2])
+@pytest.mark.parametrize("name", ["compact", "diffuse", "diffuse_g1"])
+def test_refinement_keeps_its_pinned_bits(use_slabs, name, planes):
+    case = small_case(seed=4, dims=(7, 6, 5))
+    use_slabs(case.logits0.dims, planes)
+    kw = {"edge_cfg": None} if name == "diffuse_g1" else {}
+    trace = refine(case, name.removesuffix("_g1"), protocol=OptimizerProtocol(steps=60), **kw)
+    assert trace.loss_steps == (0, 50, 60)
+    assert hashlib.sha256(trace.final_z.data.tobytes()).hexdigest() == PINNED_FINAL_Z[name]
+    losses_bytes = np.array(trace.loss_values).tobytes()
+    assert hashlib.sha256(losses_bytes).hexdigest() == PINNED_LOSSES[name, planes]
+
+
+@pytest.mark.parametrize("hypothesis", ["compact", "diffuse"])
+def test_a_refinement_holds_two_slab_buffers_and_a_step_allocates_no_grid(use_slabs, hypothesis):
+    # Building the objective and the Adam state allocates P, the gradient
+    # accumulator, M, V, diffuse's three face-weight grids and two scratch
+    # buffers of one slab plus its halo plane, and little besides (the views
+    # of each slab); a step then allocates less than one slab.
+    dims = (32, 48, 48)
+    planes = use_slabs(dims, 8)
+    rng = np.random.default_rng(12)
+    z0, g = rng.normal(size=dims), rng.uniform(0.05, 1.0, size=dims)
+    grid, slab = z0.nbytes, (planes + 1) * z0[0].nbytes
+    tracemalloc.start()
+    try:
+        if hypothesis == "compact":
+            objective = losses.compact_objective(z0, (1.0, 1.3, 0.8), losses.CompactWeights())
+        else:
+            objective = losses.diffuse_objective(z0, g, losses.DiffuseWeights())
+        state = AdamState.fresh(dims, OptimizerProtocol())
+        held = tracemalloc.get_traced_memory()[0]
+        expected = (7 if hypothesis == "diffuse" else 4) * grid + 2 * slab
+        assert expected <= held < expected + slab // 2
+        z = z0.copy()
+        _, grad = objective(z)  # a first call fills the caches
+        for value in (True, False, True):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            state, z = adam_step(state, z, grad)
+            _, grad = objective(z, value=value)
+            assert tracemalloc.get_traced_memory()[1] - before < slab
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from segtta import fileio, phantom
 from segtta.gatekeeper import gate
 from segtta.phantom import (
@@ -14,7 +15,6 @@ from segtta.phantom import (
     generate,
     mixed_cohort_specs,
     scenario_spec,
-    splitmix64,
     standard_normals,
 )
 from segtta.volume import sigmoid, threshold
@@ -120,17 +120,28 @@ PHANTOM_DIGESTS = [
 ]
 
 
+def splitmix64_states(seed, counters):
+    """SplitMix64's state before output k: seed + (k + 1) gamma mod 2^64."""
+    return np.array([(seed + (k + 1) * 0x9E3779B97F4A7C15) % 2**64 for k in counters],
+                    dtype=np.uint64)
+
+
 class TestCounterRng:
-    def test_splitmix64_reference_vector(self):
+    def test_mix_reference_vector(self):
         # first outputs of the published SplitMix64 stream for seed 0
-        got = splitmix64(0, np.arange(3, dtype=np.uint64))
-        assert got[0] == np.uint64(0xE220A8397B1DCDAF)
-        assert got[1] == np.uint64(0x6E789E6AA1B965F4)
-        assert got[2] == np.uint64(0x06C45D188009454F)
+        got = phantom._mix(splitmix64_states(0, range(3)))
+        assert got.tolist() == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        assert got.tolist() == [oracles.splitmix64(0, k) for k in range(3)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**63 + 5, 2**64 - 1])
+    def test_mix_matches_the_python_stream(self, seed):
+        counters = [*range(50), 2**32, 2**62 + 7, 2**64 - 2]
+        got = phantom._mix(splitmix64_states(seed, counters))
+        assert got.tolist() == [oracles.splitmix64(seed, k) for k in counters]
 
     def test_counter_addressability(self):
-        block = splitmix64(42, np.arange(100, dtype=np.uint64))
-        single = splitmix64(42, np.array([57], dtype=np.uint64))
+        block = phantom._mix(splitmix64_states(42, range(100)))
+        single = phantom._mix(splitmix64_states(42, [57]))
         assert block[57] == single[0]
 
     def test_normals_are_deterministic_and_reasonable(self):
