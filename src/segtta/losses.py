@@ -526,6 +526,9 @@ def _gaussian_nearest(x: np.ndarray, sigmas: Sequence[float],
                     t *= w[k]
                     d += t
         out = dst.reshape(out.shape)
+        # the views hold this axis's input, and the chunk buffers are this
+        # axis's: the next axis allocates its output without them
+        del src, dst, s, d, p, t, pad, tmp
     return out
 
 

@@ -114,14 +114,9 @@ def run_modes(
             return []
         return [(h, h == "compact" or row.edge_map) for h in row.hypotheses]
 
-    gates, plan = [], []
-    for case in cases:
-        t0 = time.perf_counter()
-        p0 = sigmoid(case.logits0)
-        verdict = gate(p0, cfg.gate)
-        gate_s = time.perf_counter() - t0
-        gates.append((verdict, gate_s, None if verdict.flagged else threshold(p0, 0.5)))
-        plan.append(list(dict.fromkeys(k for mode in cfgs for k in keys(mode, verdict))))
+    gates = [_gate(case, cfg.gate) for case in cases]
+    plan = [list(dict.fromkeys(k for mode in cfgs for k in keys(mode, verdict)))
+            for verdict, _, _ in gates]
 
     def refine(job) -> tuple[optim.RefinementTrace, float] | str:
         case, (hypothesis, edge_map) = job
@@ -151,6 +146,17 @@ def run_modes(
                 runs = {h: done[h, e] for h, e in keys(mode, verdict)}
                 reports[mode].append(_report(case, c, verdict, gate_s, baseline, runs))
     return reports
+
+
+def _gate(case: Case, thresholds: GateThresholds) -> tuple[GateVerdict, float, Mask | None]:
+    """The case's gate verdict, its seconds, and the baseline mask when it is
+    not flagged.  The probability grid lives only here, so no refinement
+    holds it."""
+    t0 = time.perf_counter()
+    p0 = sigmoid(case.logits0)
+    verdict = gate(p0, thresholds)
+    gate_s = time.perf_counter() - t0
+    return verdict, gate_s, None if verdict.flagged else threshold(p0, 0.5)
 
 
 def _usable_cpus() -> int:

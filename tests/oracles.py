@@ -2,17 +2,20 @@
 metric paths.  Deliberately naive: all-pairs distances, the plain KD-tree
 hd95, a surface extraction and an edge map with one full-size temporary per
 term, literal 2^n sign enumeration, hand-rolled average ranks, a SplitMix64
-in Python integers.  These never call the code they check.
+in Python integers, an HDTV reader that holds the whole file.  These never call the code they check.
 """
 
 import itertools
 import math
+import zlib
+from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 from scipy.spatial import cKDTree
 
-from segtta.volume import along
+from segtta import fileio
+from segtta.volume import Mask, Volume, along
 
 
 def surface_points_mm(mask):
@@ -169,3 +172,40 @@ def splitmix64(seed, k):
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _U64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _U64
     return x ^ (x >> 31)
+
+
+def read_volume(path):
+    """An HDTV file read whole into one bytes object, its CRC taken over a
+    view of the payload and the array made by one transposing conversion."""
+    raw = Path(path).read_bytes()
+    if len(raw) < 4 or raw[:4] != fileio.MAGIC:
+        raise fileio.BadMagicError(f"{path}: not an HDTV volume file")
+    if len(raw) < 43:
+        raise fileio.TruncatedFileError(f"{path}: header truncated ({len(raw)} bytes)")
+    version = int.from_bytes(raw[4:6], "little")
+    if version != fileio.VERSION:
+        raise fileio.UnsupportedVersionError(f"{path}: unsupported format version {version}")
+    tag = raw[6]
+    if tag not in fileio._DTYPE_TAGS:
+        raise fileio.VolumeFileError(f"{path}: unknown dtype tag {tag}")
+    dims = tuple(int.from_bytes(raw[7 + 4 * i : 11 + 4 * i], "little") for i in range(3))
+    spacing = tuple(np.frombuffer(raw[19:43], dtype="<f8"))
+    dtype = fileio._DTYPE_TAGS[tag]
+    count = dims[0] * dims[1] * dims[2]
+    payload_len = count * dtype.itemsize
+    if len(raw) != 43 + payload_len + 4:
+        raise fileio.TruncatedFileError(
+            f"{path}: expected {43 + payload_len + 4} bytes for dims {dims}, got {len(raw)}"
+        )
+    stored_crc = int.from_bytes(raw[43 + payload_len :], "little")
+    if zlib.crc32(memoryview(raw)[43 : 43 + payload_len]) & 0xFFFFFFFF != stored_crc:
+        raise fileio.CrcMismatchError(f"{path}: payload CRC mismatch")
+    arr = np.frombuffer(raw, dtype=dtype, count=count, offset=43).reshape(dims, order="F")
+    if tag == 3 and (top := int(arr.max(initial=0))) > 1:
+        raise fileio.BadMaskByteError(f"{path}: mask bytes must be 0 or 1, found {top}")
+    try:
+        if tag == 3:
+            return Mask(np.ascontiguousarray(arr.view(np.bool_)), spacing)
+        return Volume(np.ascontiguousarray(arr, dtype=np.float64), spacing)
+    except ValueError as exc:  # zero dim, non-finite payload or bad spacing
+        raise fileio.VolumeFileError(f"{path}: {exc}") from exc

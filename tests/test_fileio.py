@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import tracemalloc
+import types
 import zlib
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from segtta import fileio, phantom, pipeline
 from segtta.fileio import (
     BadMagicError,
@@ -192,6 +195,51 @@ class TestVolumeLayout:
         assert arr.flags.c_contiguous and not arr.flags.writeable
         expected = v.data.astype(np.float32) if dtype == "f32" and isinstance(v, Volume) else v.data
         assert np.array_equal(arr, expected)
+
+
+class TestStreamedRead:
+    """The block reader against the whole-file reader it replaced."""
+
+    @pytest.mark.parametrize("tag", [1, 2, 3])
+    @pytest.mark.parametrize("nz", [1, 5, fileio.BLOCK_PLANES, fileio.BLOCK_PLANES + 1,
+                                    2 * fileio.BLOCK_PLANES, 2 * fileio.BLOCK_PLANES + 7])
+    def test_matches_the_whole_file_oracle(self, tmp_path, tag, nz):
+        rng = np.random.default_rng(nz + 10 * tag)
+        dims, sp = (7, 3, nz), (0.9, 1.0, 2.5)
+        v = Mask(rng.random(dims) < 0.3, sp) if tag == 3 else Volume(rng.normal(size=dims), sp)
+        path = tmp_path / "v.vol"
+        write_volume(path, v, "f32" if tag == 1 else "f64")
+        got, expected = read_volume(path), oracles.read_volume(path)
+        assert type(got) is type(expected) and got.spacing == expected.spacing
+        assert got.data.dtype == expected.data.dtype and got.dims == dims
+        assert got.data.tobytes() == expected.data.tobytes()
+        assert got.data.flags.c_contiguous and not got.data.flags.writeable
+
+    def test_a_file_that_shrinks_after_the_size_check_raises(self, tmp_path, monkeypatch):
+        # the size check passed on the file as it was; the payload read
+        # finds it cut short
+        path, raw = small_file(tmp_path)
+        path.write_bytes(raw[:50])
+        monkeypatch.setattr(fileio.os, "fstat", lambda fd: types.SimpleNamespace(st_size=len(raw)))
+        with pytest.raises(TruncatedFileError, match="while reading"):
+            read_volume(path)
+
+    def test_a_read_holds_one_block_besides_the_array(self, tmp_path):
+        # the array, Volume's finiteness check (a bool per voxel) and one
+        # staging block; the whole file as bytes next to the array is 2x
+        nz = 100
+        v = Volume(np.random.default_rng(1).normal(size=(40, 30, nz)), (1.0, 1.0, 1.0))
+        path = tmp_path / "v.vol"
+        write_volume(path, v)
+        tracemalloc.start()
+        try:
+            back = read_volume(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        payload = v.data.nbytes
+        assert back.data.tobytes() == v.data.tobytes()
+        assert peak < payload * (1 + 1 / 8 + fileio.BLOCK_PLANES / nz) + 16 * 1024
 
 
 def small_file(tmp_path, tag=2):

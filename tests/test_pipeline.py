@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from typing import get_type_hints
 
@@ -276,6 +277,26 @@ class TestRunModes:
             if full.mask_source == "compact":
                 assert full.compact_trace == compact.compact_trace
                 assert full.final_mask.data.tobytes() == compact.final_mask.data.tobytes()
+
+    def test_refinements_do_not_hold_the_gate_probabilities(self, island, monkeypatch):
+        # the flagged case's P0 grid is the gate's alone: at the refinement's
+        # entry, nothing allocated since the run started holds a grid
+        import segtta.pipeline as pl
+
+        held = []
+
+        def measuring(case, hypothesis, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            raise pl.optim.NumericalFailure("stopped at entry")
+
+        monkeypatch.setattr(pl.optim, "refine", measuring)
+        tracemalloc.start()
+        try:
+            reports = run_modes([island.case], ["only_compact"], quick_cfg())
+        finally:
+            tracemalloc.stop()
+        assert reports["only_compact"][0].gate.flagged and len(held) == 1
+        assert held[0] < island.case.logits0.data.nbytes // 4
 
     def test_unknown_mode_rejected(self, clean):
         with pytest.raises(ValueError, match="mode"):
