@@ -122,10 +122,13 @@ def read_volume(path) -> Volume | Mask:
             raise TruncatedFileError(
                 f"{path}: expected {43 + payload_len + 4} bytes for dims {dims}, got {size}"
             )
-        out = np.empty(dims, dtype=np.uint8 if tag == _TAG_MASK else np.float64)
+        # a zero dim leaves nothing to read; numpy cannot shape every such
+        # dims (a zero beside two dims near 2**32 overflows its size check)
+        out = np.empty(dims if payload_len else 0,
+                       dtype=np.uint8 if tag == _TAG_MASK else np.float64)
         staging = np.empty(min(nz, BLOCK_PLANES) * nx * ny, dtype=dtype)
         crc, top = 0, 0
-        for k in range(0, nz, BLOCK_PLANES):
+        for k in range(0, nz if payload_len else 0, BLOCK_PLANES):
             n = min(BLOCK_PLANES, nz - k)
             block = staging[: n * nx * ny]
             if f.readinto(block.view(np.uint8)) != block.nbytes:
@@ -134,10 +137,15 @@ def read_volume(path) -> Volume | Mask:
             if tag == _TAG_MASK:
                 top = max(top, int(block.max(initial=0)))
             out[:, :, k : k + n] = block.reshape(n, ny, nx).T
-        if int.from_bytes(f.read(4), "little") != crc & 0xFFFFFFFF:
+        trailer = f.read(4)
+        if len(trailer) != 4:
+            raise TruncatedFileError(f"{path}: payload CRC truncated while reading")
+        if int.from_bytes(trailer, "little") != crc & 0xFFFFFFFF:
             raise CrcMismatchError(f"{path}: payload CRC mismatch")
     if top > 1:
         raise BadMaskByteError(f"{path}: mask bytes must be 0 or 1, found {top}")
+    if not payload_len:
+        raise VolumeFileError(f"{path}: dims {dims} hold no voxels")
     try:
         if tag == _TAG_MASK:
             return Mask(out.view(np.bool_), spacing)

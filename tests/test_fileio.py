@@ -1,8 +1,10 @@
 import hashlib
+import io
 import json
 import math
+import os
+import time
 import tracemalloc
-import types
 import zlib
 
 import numpy as np
@@ -215,13 +217,22 @@ class TestStreamedRead:
         assert got.data.tobytes() == expected.data.tobytes()
         assert got.data.flags.c_contiguous and not got.data.flags.writeable
 
-    def test_a_file_that_shrinks_after_the_size_check_raises(self, tmp_path, monkeypatch):
-        # the size check passed on the file as it was; the payload read
-        # finds it cut short
+    @pytest.mark.parametrize("cut", [50, -2], ids=["in-payload", "in-crc"])
+    def test_a_file_that_shrinks_after_the_size_check_raises(self, tmp_path, monkeypatch, cut):
+        # the size check passes on the whole file; the file is then cut
+        # short on disk, in the payload or in the CRC, before they are read
         path, raw = small_file(tmp_path)
-        path.write_bytes(raw[:50])
-        monkeypatch.setattr(fileio.os, "fstat", lambda fd: types.SimpleNamespace(st_size=len(raw)))
-        with pytest.raises(TruncatedFileError, match="while reading"):
+
+        class ShrinksAfterTheHeader(io.FileIO):
+            def read(self, size=-1):
+                head = super().read(size)
+                os.truncate(path, len(raw[:cut]))
+                return head
+
+        # unbuffered, so the payload read sees the file as it is on disk
+        monkeypatch.setattr(fileio, "open", lambda p, mode: ShrinksAfterTheHeader(p, mode),
+                            raising=False)
+        with pytest.raises(TruncatedFileError, match="truncated while reading"):
             read_volume(path)
 
     def test_a_read_holds_one_block_besides_the_array(self, tmp_path):
@@ -289,6 +300,24 @@ class TestVolumeFuzz:
         path.write_bytes(header + payload + zlib.crc32(payload).to_bytes(4, "little"))
         with pytest.raises(TruncatedFileError):
             read_volume(path)
+
+    @given(dims=st.tuples(*[st.integers(1, 2**32 - 1)] * 2), zero_at=st.integers(0, 2),
+           tag=st.sampled_from([1, 2, 3]))
+    @settings(max_examples=100, deadline=None)
+    def test_a_zero_dim_with_an_empty_payload_raises_at_once(self, tmp_path_factory, dims,
+                                                             zero_at, tag):
+        # the size and CRC checks pass on an empty payload; the zero dim is
+        # rejected next, without a pass over nz planes or an array of dims
+        dims = dims[:zero_at] + (0,) + dims[zero_at:]
+        header = b"HDTV" + (1).to_bytes(2, "little") + bytes([tag])
+        header += b"".join(n.to_bytes(4, "little") for n in dims) + np.ones(3, "<f8").tobytes()
+        path = tmp_path_factory.mktemp("f") / "z.vol"
+        path.write_bytes(header + zlib.crc32(b"").to_bytes(4, "little"))
+        start = time.perf_counter()
+        with pytest.raises(VolumeFileError, match="hold no voxels") as info:
+            read_volume(path)
+        assert time.perf_counter() - start < 1.0
+        assert type(info.value) is VolumeFileError
 
     @pytest.mark.parametrize("tag", [1, 2, 3])
     def test_truncation_at_every_offset_raises(self, tmp_path, tag):
