@@ -22,21 +22,17 @@ from .metrics import (
     aggregate,
     dice,
     hd95,
-    holm_bonferroni,
     precision,
     wilcoxon_holm,
 )
 from .optim import AdamState, NumericalFailure, OptimizerProtocol, RefinementTrace, adam_step, refine
 from .phantom import GeneratedPhantom, PhantomAnnotations, PhantomSpec, cohort, generate, scenario_spec
 from .pipeline import MODES, PipelineConfig, RunReport, run_case, run_cohort, run_modes
-from .selector import SelectionResult, SelectorConfig, expansion_region, select
+from .selector import SelectionResult, SelectorConfig, select
 from .volume import (
     Case,
-    EmptyRegionError,
     Mask,
-    MaskStats,
     Volume,
-    mask_stats,
     sigmoid,
     threshold,
 )

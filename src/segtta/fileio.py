@@ -11,8 +11,8 @@ Volume file layout (little-endian throughout, described in docs/volume_format.md
     43      ...   payload: nx*ny*nz values in x-fastest order
     end     4     CRC32 of the payload bytes (u32)
 
-write -> read is bit-identical for f64 payloads and for masks; f32 is a lossy
-storage option and reads back as float64.
+write -> read is bit-identical for f64 payloads and for masks.  The f32 tag is
+read, as float64, but no longer written.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ REPORT_SCHEMA_VERSION = 1
 BLOCK_PLANES = 32
 
 _DTYPE_TAGS = {1: np.dtype("<f4"), 2: np.dtype("<f8"), 3: np.dtype("u1")}
-_TAG_F32, _TAG_F64, _TAG_MASK = 1, 2, 3
+_TAG_F64, _TAG_MASK = 2, 3
 
 
 class VolumeFileError(ValueError):
@@ -66,14 +66,10 @@ class BadMaskByteError(VolumeFileError):
     """A mask payload byte other than 0 or 1."""
 
 
-def write_volume(path, v: Volume | Mask, dtype: str = "f64") -> None:
-    """Serialize to the HDTV container.  Masks always use the u8 tag."""
-    if isinstance(v, Mask):
-        tag = _TAG_MASK
-    elif dtype in ("f64", "f32"):
-        tag = _TAG_F64 if dtype == "f64" else _TAG_F32
-    else:
-        raise ValueError(f"unsupported dtype {dtype!r}; use 'f64' or 'f32'")
+def write_volume(path, v: Volume | Mask) -> None:
+    """Serialize to the HDTV container: a volume with the f64 tag, a mask with
+    the u8 tag."""
+    tag = _TAG_MASK if isinstance(v, Mask) else _TAG_F64
     # the payload in x-fastest order, converted and reordered in one copy:
     # the transpose of the C-ordered data laid out in C order
     payload = np.asarray(v.data.T, dtype=_DTYPE_TAGS[tag], order="C")

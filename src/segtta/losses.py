@@ -491,8 +491,7 @@ def edge_map(channels: Sequence[Volume], cfg: EdgeMapConfig = EdgeMapConfig()) -
 GAUSS_CHUNK_BYTES = 256 * 1024
 
 
-def _gaussian_nearest(x: np.ndarray, sigmas: Sequence[float],
-                      chunk_bytes: int = GAUSS_CHUNK_BYTES) -> np.ndarray:
+def _gaussian_nearest(x: np.ndarray, sigmas: Sequence[float]) -> np.ndarray:
     """``scipy.ndimage.gaussian_filter(x, sigmas, mode="nearest")`` (truncate
     4), bit for bit, in numpy; ``x`` uncopied when no sigma exceeds 1e-15.
 
@@ -500,7 +499,7 @@ def _gaussian_nearest(x: np.ndarray, sigmas: Sequence[float],
     r = int(4 sigma + 0.5) normalised by its sum, and per output voxel
     scipy's symmetric-kernel loop, c w_0 + sum over k = r..1 of
     (left_k + right_k) w_k on edge-replicated lines, all in float64.  The tap
-    loop runs over chunks of padded lines that fit in cache."""
+    loop runs over chunks of :data:`GAUSS_CHUNK_BYTES` of padded lines."""
     out = np.ascontiguousarray(x, dtype=np.float64)
     for axis, sigma in enumerate(sigmas):
         if sigma <= 1e-15:
@@ -511,7 +510,7 @@ def _gaussian_nearest(x: np.ndarray, sigmas: Sequence[float],
         n = out.shape[axis]
         src = out.reshape(math.prod(out.shape[:axis]), n, -1)  # (outer, line, inner)
         dst = np.empty_like(src)
-        per_chunk = max(1, chunk_bytes // (8 * (n + 2 * r)))
+        per_chunk = max(1, GAUSS_CHUNK_BYTES // (8 * (n + 2 * r)))
         bi = min(src.shape[2], per_chunk)
         bo = max(1, per_chunk // bi)
         pad, tmp = np.empty((bo, n + 2 * r, bi)), np.empty((bo, n, bi))

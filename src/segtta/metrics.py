@@ -58,7 +58,6 @@ class WilcoxonResult:
     p_raw: float
     p_adjusted: float
     method: str              # "exact" | "normal" | "degenerate"
-    degenerate: bool = False
 
 
 def dice(pred: Mask, gt: Mask) -> float:
@@ -281,9 +280,10 @@ def aggregate(metric_sets: Sequence[MetricSet]) -> CohortStats:
 # ---------------------------------------------------------------------------
 
 
-def _wilcoxon_one_sided(diffs: Sequence[float], direction: str, method: str = "auto"):
+def _wilcoxon_one_sided(diffs: Sequence[float], direction: str):
     """Returns (W+, p, n_nonzero, method_used).  ``direction`` states the
-    alternative for the differences: "greater" means median(diff) > 0."""
+    alternative for the differences: "greater" means median(diff) > 0.  The
+    tail is exact for up to 25 nonzero differences and normal above."""
     if direction not in ("greater", "less"):
         raise ValueError(f"direction must be 'greater' or 'less', got {direction!r}")
     d = np.asarray(diffs, dtype=np.float64)
@@ -295,20 +295,9 @@ def _wilcoxon_one_sided(diffs: Sequence[float], direction: str, method: str = "a
         return 0.0, 1.0, 0, "degenerate"
     ranks = _average_ranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
-    use_exact = method == "exact" or (method == "auto" and n <= 25)
-    if use_exact:
-        p = _exact_tail_geq(ranks, w_plus)
-        return w_plus, p, n, "exact"
-    # normal approximation with tie correction and continuity correction
-    mu = n * (n + 1) / 4.0
-    _, tie_counts = np.unique(ranks, return_counts=True)
-    tie_term = float(((tie_counts**3 - tie_counts) / 48.0).sum())
-    sigma = math.sqrt(n * (n + 1) * (2 * n + 1) / 24.0 - tie_term)
-    if sigma == 0.0:
-        return w_plus, 1.0, n, "degenerate"
-    zscore = (w_plus - mu - 0.5) / sigma
-    p = 0.5 * math.erfc(zscore / math.sqrt(2.0))
-    return w_plus, p, n, "normal"
+    if n <= 25:
+        return w_plus, _exact_tail_geq(ranks, w_plus), n, "exact"
+    return w_plus, _normal_tail_geq(ranks, w_plus), n, "normal"
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
@@ -343,6 +332,18 @@ def _exact_tail_geq(ranks: np.ndarray, w_plus: float) -> float:
     return float(tail / counts.sum())
 
 
+def _normal_tail_geq(ranks: np.ndarray, w_plus: float) -> float:
+    """P(W+ >= observed), normal with tie and continuity corrections.  The
+    variance is positive: with all n ranks tied it is n (n + 1)^2 / 16."""
+    n = ranks.size
+    mu = n * (n + 1) / 4.0
+    _, tie_counts = np.unique(ranks, return_counts=True)
+    tie_term = float(((tie_counts**3 - tie_counts) / 48.0).sum())
+    sigma = math.sqrt(n * (n + 1) * (2 * n + 1) / 24.0 - tie_term)
+    zscore = (w_plus - mu - 0.5) / sigma
+    return 0.5 * math.erfc(zscore / math.sqrt(2.0))
+
+
 def holm_bonferroni(p_values: Sequence[float]) -> list[float]:
     """Step-down adjustment: sorted p_i -> max over j<=i of (m-j+1) p_(j), clipped at 1."""
     m = len(p_values)
@@ -358,13 +359,12 @@ def holm_bonferroni(p_values: Sequence[float]) -> list[float]:
 def wilcoxon_holm(
     per_case_diffs: Mapping[str, Sequence[float]],
     directions: Mapping[str, str],
-    method: str = "auto",
 ) -> dict[str, WilcoxonResult]:
     """Per-metric one-sided tests, Holm-adjusted across the metric family.
 
     ``per_case_diffs[metric]`` holds paired differences (one per case);
     ``directions[metric]`` is the alternative for those differences.  All-zero
-    difference lists report p = 1 with the degenerate flag; fewer than 6
+    difference lists report p = 1 with method "degenerate"; fewer than 6
     nonzero differences (but more than zero) is a contract violation and
     raises, as does a NaN difference; an infinite one ranks
     last.
@@ -374,7 +374,7 @@ def wilcoxon_holm(
     for name in names:
         diffs = np.asarray(per_case_diffs[name], dtype=np.float64)
         require(not np.isnan(diffs).any(), f"metric {name!r} has a NaN paired difference")
-        stat, p, n, used = _wilcoxon_one_sided(diffs, directions[name], method)
+        stat, p, n, used = _wilcoxon_one_sided(diffs, directions[name])
         if 0 < n < 6:
             raise ValueError(f"metric {name!r} has only {n} nonzero paired differences; need >= 6")
         raw[name] = (stat, p, n, used)
@@ -390,7 +390,6 @@ def wilcoxon_holm(
             p_raw=p,
             p_adjusted=adj,
             method=used,
-            degenerate=used == "degenerate",
         )
     return out
 

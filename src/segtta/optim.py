@@ -28,7 +28,7 @@ from typing import Literal
 import numpy as np
 
 from . import losses
-from .volume import Case, Volume, check_fields, slab_planes
+from .volume import Case, Volume, all_finite, check_fields, slab_planes
 
 HypothesisName = Literal["compact", "diffuse"]
 
@@ -111,9 +111,7 @@ def adam_step(state: AdamState, z: np.ndarray, grad: np.ndarray) -> tuple[AdamSt
     slabs of :func:`volume.slab_planes` planes.  A non-finite gradient
     anywhere raises before anything is written.
     """
-    # a sum is finite only if every entry is; the exact test runs only when it
-    # is not, so that an overflowing sum of finite entries still passes
-    if not np.isfinite(grad.sum()) and not np.isfinite(grad).all():
+    if not all_finite(grad):
         raise NumericalFailure(f"non-finite gradient at step {state.t + 1}")
     pr = state.protocol
     state.t += 1

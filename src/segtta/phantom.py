@@ -243,14 +243,9 @@ def scenario_spec(scenario: str, seed: int, **overrides) -> PhantomSpec:
 
 
 def _ellipsoid_rho2(axes, center, radii, out: np.ndarray) -> np.ndarray:
-    """Sum over the axes, in axis order, of ((x - c) / r)^2, into ``out``."""
+    """Sum over the axes, in axis order, of ((x - c) / r)^2, into ``out``; at
+    radii (1, 1, 1) the squared distance to ``center``, in mm^2."""
     t = [((a - c) / r) ** 2 for a, c, r in zip(axes, center, radii)]
-    return np.add(t[0] + t[1], t[2], out=out)
-
-
-def _sphere_d2(axes, center, out: np.ndarray) -> np.ndarray:
-    """Squared distance to ``center``, summed in axis order, into ``out``."""
-    t = [(a - c) ** 2 for a, c in zip(axes, center)]
     return np.add(t[0] + t[1], t[2], out=out)
 
 
@@ -287,7 +282,7 @@ def generate(spec: PhantomSpec) -> GeneratedPhantom:
     if spec.scenario == "fragmented_small":
         gt = np.zeros(dims, dtype=bool)
         for c in fragments:
-            gt |= _sphere_d2(axes, c, scratch) < FRAGMENT_RADIUS_MM * FRAGMENT_RADIUS_MM
+            gt |= _ellipsoid_rho2(axes, c, (1.0, 1.0, 1.0), scratch) < FRAGMENT_RADIUS_MM * FRAGMENT_RADIUS_MM
         logits = np.where(gt, conf, -conf)
     else:
         # rho2 is read until the next distance grid overwrites the scratch
@@ -305,7 +300,7 @@ def generate(spec: PhantomSpec) -> GeneratedPhantom:
             island_center = tuple(c + o for c, o in zip(spec.center, spec.island_offset_mm))
             halo_r = ISLAND_RADIUS_MM + ISLAND_HALO_WIDTH_MM
             _check_fit(spec, island_center, (halo_r,) * 3, "island (with halo)")
-            d2 = _sphere_d2(axes, island_center, scratch)
+            d2 = _ellipsoid_rho2(axes, island_center, (1.0, 1.0, 1.0), scratch)
             island = d2 < ISLAND_RADIUS_MM * ISLAND_RADIUS_MM
             halo = d2 < halo_r * halo_r
             if np.logical_and(island, gt).any():

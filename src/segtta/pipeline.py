@@ -65,10 +65,6 @@ class TraceSummary:
     final_loss: float
     steps: int
 
-    @classmethod
-    def of(cls, trace: optim.RefinementTrace) -> "TraceSummary":
-        return cls(trace.initial_loss, trace.final_loss, trace.steps)
-
 
 @dataclass
 class RunReport:
@@ -181,7 +177,7 @@ def _report(case, cfg, verdict, gate_s, baseline, runs) -> RunReport:
         selection = select(case, traces["compact"].final_z, traces["diffuse"].final_z, cfg.selector)
         timings["select_s"] = time.perf_counter() - t0
         source = selection.chosen
-    summaries = {h: TraceSummary.of(t) for h, t in traces.items()}
+    summaries = {h: TraceSummary(t.initial_loss, t.final_loss, t.steps) for h, t in traces.items()}
     timings["total_s"] = sum(timings.values())  # a shared stage counts in every report
     return RunReport(
         case_id=case.case_id,

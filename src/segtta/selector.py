@@ -15,8 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .volume import (Case, Mask, Volume, check_fields, mask_stats, require_same_grid, sigmoid,
-                     threshold)
+import numpy as np
+
+from .volume import Case, Volume, check_fields, require_same_grid, sigmoid
 
 
 @dataclass(frozen=True)
@@ -41,24 +42,12 @@ class SelectionResult:
     mu_delta: float | None = None
 
 
-def expansion_region(p0: Volume, diffuse_mask: Mask,
-                     core_threshold: float = 0.8) -> tuple[Mask, Mask]:
-    """Split the diffuse result into the baseline core and the recruited voxels.
-
-    core  = p0 > core_threshold
-    delta = diffuse_mask minus core (the voxels added by the inflation side)
-    """
-    require_same_grid(p0, diffuse_mask, "baseline probabilities and diffuse mask")
-    core = threshold(p0, core_threshold)
-    delta = diffuse_mask.with_data(diffuse_mask.data & ~core.data)
-    return core, delta
-
-
-def _channel_score(ch: Volume, core: Mask, delta: Mask, gamma: float, eps: float):
-    # (score, mu_core, sigma_core, mu_delta) of one channel; an empty region
-    # raises EmptyRegionError
-    mu_core, sigma_core, _ = mask_stats(ch, core)
-    mu_delta, _, _ = mask_stats(ch, delta)
+def _channel_score(ch: Volume, core: np.ndarray, delta: np.ndarray, gamma: float, eps: float):
+    # (score, mu_core, sigma_core, mu_delta) of one channel over the nonempty
+    # bool regions core and delta; sigma_core is the population std
+    vals = ch.data[core]
+    mu_core, sigma_core = float(vals.mean()), float(vals.std())
+    mu_delta = float(ch.data[delta].mean())
     ratio = abs(mu_delta - mu_core) / (gamma * (sigma_core + eps))
     return math.exp(-0.5 * ratio * ratio), mu_core, sigma_core, mu_delta
 
@@ -77,15 +66,16 @@ def select(
     """
     require_same_grid(case.logits0, compact_z, "baseline and compact logits")
     require_same_grid(case.logits0, diffuse_z, "baseline and diffuse logits")
-    p0 = sigmoid(case.logits0)
-    diffuse_mask = threshold(sigmoid(diffuse_z), 0.5)
-    core, delta = expansion_region(p0, diffuse_mask, cfg.core_threshold)
-    if core.count == 0 or delta.count == 0:
+    core = sigmoid(case.logits0).data > cfg.core_threshold
+    delta = sigmoid(diffuse_z).data > 0.5
+    delta &= ~core
+    core_voxels, delta_voxels = int(np.count_nonzero(core)), int(np.count_nonzero(delta))
+    if core_voxels == 0 or delta_voxels == 0:
         return SelectionResult(
             chosen="compact",
             texture_score=None,
-            core_voxels=core.count,
-            delta_voxels=delta.count,
+            core_voxels=core_voxels,
+            delta_voxels=delta_voxels,
         )
     per_channel = [_channel_score(ch, core, delta, cfg.gamma, cfg.eps) for ch in case.image]
     score, mu_core, sigma_core, mu_delta = min(per_channel, key=lambda t: t[0])
@@ -93,8 +83,8 @@ def select(
     return SelectionResult(
         chosen=chosen,
         texture_score=score,
-        core_voxels=core.count,
-        delta_voxels=delta.count,
+        core_voxels=core_voxels,
+        delta_voxels=delta_voxels,
         mu_core=mu_core,
         sigma_core=sigma_core,
         mu_delta=mu_delta,

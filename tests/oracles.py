@@ -209,3 +209,14 @@ def read_volume(path):
         return Volume(np.ascontiguousarray(arr, dtype=np.float64), spacing)
     except ValueError as exc:  # zero dim, non-finite payload or bad spacing
         raise fileio.VolumeFileError(f"{path}: {exc}") from exc
+
+
+def write_volume_f32(path, v):
+    """``v`` as an HDTV file with the f32 tag (1), which the library reads but
+    no longer writes: the header, the payload as float32 in x-fastest order
+    and its CRC."""
+    payload = np.asarray(v.data, dtype="<f4").tobytes(order="F")
+    header = fileio.MAGIC + fileio.VERSION.to_bytes(2, "little") + bytes([1])
+    header += b"".join(int(n).to_bytes(4, "little") for n in v.dims)
+    header += np.asarray(v.spacing, dtype="<f8").tobytes()
+    Path(path).write_bytes(header + payload + zlib.crc32(payload).to_bytes(4, "little"))

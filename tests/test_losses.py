@@ -156,7 +156,9 @@ class TestEdgeMap:
         x = np.asarray(np.random.default_rng(seed).normal(scale=50.0, size=dims), order=order)
         sigmas = [sigma_mm / s for s in spacing]
         expected = gaussian_filter(x, sigmas, mode="nearest")
-        got = losses._gaussian_nearest(x, sigmas, chunk_bytes)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(losses, "GAUSS_CHUNK_BYTES", chunk_bytes)
+            got = losses._gaussian_nearest(x, sigmas)
         assert got.shape == expected.shape and got.dtype == np.float64
         assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(expected).tobytes()
 

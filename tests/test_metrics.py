@@ -328,16 +328,19 @@ class TestWilcoxon:
             assert res.p_raw == pytest.approx(oracles.wilcoxon_exact(diffs, "greater"), abs=1e-12)
 
     def test_exact_and_normal_agree_at_n25(self):
+        # at the last n the exact tail serves, the normal one is already close
         rng = np.random.default_rng(23)
         for trial in range(5):
-            diffs = (rng.normal(0.2, 1.0, size=25)).tolist()
-            exact = wilcoxon_holm({"x": diffs}, {"x": "greater"}, method="exact")["x"]
-            approx = wilcoxon_holm({"x": diffs}, {"x": "greater"}, method="normal")["x"]
-            assert approx.p_raw == pytest.approx(exact.p_raw, abs=0.01)
+            d = rng.normal(0.2, 1.0, size=25)
+            ranks = metrics._average_ranks(np.abs(d))
+            w_plus = float(ranks[d > 0].sum())
+            exact = metrics._exact_tail_geq(ranks, w_plus)
+            assert metrics._normal_tail_geq(ranks, w_plus) == pytest.approx(exact, abs=0.01)
+            assert wilcoxon_holm({"x": d.tolist()}, {"x": "greater"})["x"].p_raw == exact
 
     def test_all_zero_is_degenerate(self):
         res = wilcoxon_holm({"x": [0.0] * 8}, {"x": "greater"})["x"]
-        assert res.degenerate and res.p_raw == 1.0
+        assert res.method == "degenerate" and res.p_raw == 1.0
 
     def test_too_few_nonzero_raises(self):
         with pytest.raises(ValueError, match="nonzero"):
@@ -352,14 +355,17 @@ class TestWilcoxon:
                           {"dice": "greater", "hd95": "less"})
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    @pytest.mark.parametrize("method", ["exact", "normal"])
-    def test_infinite_difference_ranks_last(self, sign, method):
-        # |inf| takes the top rank, as the largest finite magnitude would
-        diffs = [1.0, -2.0, 3.0, 4.0, -5.0, 6.0, 7.0]
-        with_inf = wilcoxon_holm({"x": diffs + [sign * math.inf]}, {"x": "greater"}, method)["x"]
-        finite = wilcoxon_holm({"x": diffs + [sign * 100.0]}, {"x": "greater"}, method)["x"]
-        assert with_inf == finite
-        assert with_inf.statistic == (21.0 + 8.0 if sign > 0 else 21.0)  # ranks 1, 3, 4, 6, 7 (+ 8)
+    @pytest.mark.parametrize("n, method", [(7, "exact"), (30, "normal")])
+    def test_infinite_difference_ranks_last(self, sign, n, method):
+        # |inf| takes the top rank, as the largest finite magnitude would; n
+        # finite differences and the infinite one take the exact tail up to 25
+        # and the normal one above
+        diffs = [-k if k % 3 == 2 else k for k in map(float, range(1, n + 1))]
+        with_inf = wilcoxon_holm({"x": diffs + [sign * math.inf]}, {"x": "greater"})["x"]
+        finite = wilcoxon_holm({"x": diffs + [sign * 100.0]}, {"x": "greater"})["x"]
+        assert with_inf == finite and with_inf.method == method
+        positive = sum(d for d in diffs if d > 0)  # at n = 7, ranks 1, 3, 4, 6 and 7
+        assert with_inf.statistic == (positive + n + 1 if sign > 0 else positive)
 
     def test_holm_two_hypotheses(self):
         assert holm_bonferroni([0.01, 0.04]) == [0.02, 0.04]

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from segtta.selector import SelectorConfig, _channel_score, expansion_region, select
-from segtta.volume import Case, EmptyRegionError, Mask, Volume, threshold
+from segtta.selector import SelectorConfig, _channel_score, select
+from segtta.volume import Case, Volume
 
 SPACING = (1.0, 1.0, 1.0)
 DIMS = (10, 6, 6)
@@ -38,29 +38,25 @@ def make_case(channels):
     return Case(image=tuple(channels), logits0=logits_for(CORE), case_id="fixture")
 
 
-def masks():
-    return Mask(CORE, SPACING), Mask(DELTA, SPACING)
+class TestChannelScore:
+    """Statistics over bool regions: the mean, and the population (ddof 0) std."""
 
+    def test_constant_field(self):
+        ch = Volume(np.full(DIMS, 7.0), SPACING)
+        assert _channel_score(ch, CORE, DELTA, 1.5, 1e-6) == (1.0, 7.0, 0.0, 7.0)
 
-class TestExpansionRegion:
-    def test_delta_of_identical_masks_is_empty(self):
-        p0 = Volume(np.where(CORE, 0.9, 0.1), SPACING)
-        core, delta = expansion_region(p0, Mask(CORE, SPACING))
-        assert np.array_equal(core.data, CORE)
-        assert delta.count == 0
+    def test_population_std(self):
+        both = np.ones((2, 1, 1), dtype=bool)
+        ch = Volume(np.array([1.0, 3.0]).reshape(2, 1, 1), SPACING)
+        _, mu_core, sigma_core, mu_delta = _channel_score(ch, both, both, 1.5, 1e-6)
+        assert (mu_core, sigma_core, mu_delta) == (2.0, 1.0, 2.0)
 
-    def test_added_voxels_form_delta(self):
-        p0 = Volume(np.where(CORE, 0.9, 0.1), SPACING)
-        grown = CORE | DELTA
-        core, delta = expansion_region(p0, Mask(grown, SPACING))
-        assert np.array_equal(delta.data, DELTA)
-
-    def test_strict_core_threshold(self):
-        p0 = Volume(np.full(DIMS, 0.79), SPACING)
-        diffuse = Mask(CORE | DELTA, SPACING)
-        core, delta = expansion_region(p0, diffuse)
-        assert core.count == 0
-        assert np.array_equal(delta.data, diffuse.data)
+    def test_full_region_equals_global_stats(self):
+        arr = np.random.default_rng(1).normal(size=(4, 3, 2))
+        full = np.ones(arr.shape, dtype=bool)
+        _, mu_core, sigma_core, _ = _channel_score(Volume(arr, SPACING), full, full, 1.5, 1e-6)
+        assert mu_core == pytest.approx(arr.mean(), abs=1e-12)
+        assert sigma_core == pytest.approx(arr.std(), abs=1e-12)
 
 
 def texture_score(channels):
@@ -90,15 +86,6 @@ class TestTextureScore:
         assert got == pytest.approx(expected_score(2.031), rel=1e-6)
         assert got == pytest.approx(0.40, abs=5e-3)
 
-    def test_empty_regions_raise(self):
-        core, delta = masks()
-        empty = Mask(np.zeros(DIMS, dtype=bool), SPACING)
-        ch = intensity_channel()
-        with pytest.raises(EmptyRegionError):
-            _channel_score(ch, empty, delta, 1.5, 1e-6)
-        with pytest.raises(EmptyRegionError):
-            _channel_score(ch, core, empty, 1.5, 1e-6)
-
 
 class TestSelect:
     def test_empty_delta_reverts_to_compact(self):
@@ -108,7 +95,7 @@ class TestSelect:
         result = select(case, compact_z, diffuse_z)
         assert result.chosen == "compact"
         assert result.texture_score is None
-        assert result.delta_voxels == 0
+        assert (result.core_voxels, result.delta_voxels) == (CORE.sum(), 0)
 
     def test_matched_expansion_selects_diffuse(self):
         case = make_case([intensity_channel(delta_offset_sigma=0.0)])
@@ -130,6 +117,15 @@ class TestSelect:
         assert result.chosen == "compact"
         assert result.core_voxels == 0
         assert result.texture_score is None
+
+    def test_core_threshold_is_strict(self):
+        # logits 0 give P0 = 0.5 exactly: no core at threshold 0.5, so every
+        # voxel of the diffuse mask counts as recruited
+        case = Case(image=(intensity_channel(),), logits0=Volume(np.zeros(DIMS), SPACING))
+        result = select(case, logits_for(CORE), logits_for(CORE | DELTA),
+                        SelectorConfig(core_threshold=0.5))
+        assert (result.core_voxels, result.delta_voxels) == (0, (CORE | DELTA).sum())
+        assert result.chosen == "compact" and result.texture_score is None
 
     def test_zero_core_spread_with_shifted_delta_never_diffuse(self):
         ch = intensity_channel(core_sigma=0.0, delta_offset_sigma=0.0)

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from segtta.volume import (
     Case,
-    EmptyRegionError,
     Mask,
     Volume,
-    mask_stats,
     sigmoid,
     slab_planes,
     threshold,
@@ -26,11 +24,23 @@ def line(values):
 
 
 class TestVolumeType:
-    def test_rejects_nan(self):
-        arr = np.zeros((2, 2, 2))
-        arr[0, 0, 0] = np.nan
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        # beside entries whose sum overflows to +inf, so -inf makes it NaN
+        arr = np.full((2, 2, 2), 1e308)
+        arr[1, 0, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             Volume(arr, (1, 1, 1))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_accepts_finite_entries_whose_sum_overflows(self, sign):
+        arr = np.full((2, 2, 2), sign * 1e308)
+        arr[1, 1, 1] = -sign * 1e308
+        with np.errstate(over="ignore"):
+            assert arr.sum() == sign * np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nor does the check warn
+            assert np.array_equal(Volume(arr, (1, 1, 1)).data, arr)
 
     def test_rejects_bad_spacing(self):
         with pytest.raises(ValueError, match="spacing"):
@@ -116,44 +126,6 @@ class TestThreshold:
         v = vol(rng.uniform(0, 1, size=(3, 4, 5)))
         m = threshold(v, 0.5)
         assert m.count + int(np.count_nonzero(~m.data)) == v.nvox
-
-
-class TestMaskStats:
-    def test_constant_field(self):
-        v = vol(np.full((3, 3, 3), 7.0))
-        m = threshold(vol(np.arange(27, dtype=float).reshape(3, 3, 3)), 10.0)
-        mean, std, count = mask_stats(v, m)
-        assert (mean, std) == (7.0, 0.0)
-        assert count == m.count > 0
-
-    def test_population_std(self):
-        vals = np.zeros((2, 1, 1))
-        vals[0, 0, 0], vals[1, 0, 0] = 1.0, 3.0
-        m = Mask(np.ones((2, 1, 1), dtype=bool), (1, 1, 1))
-        mean, std, count = mask_stats(vol(vals), m)
-        assert (mean, std, count) == (2.0, 1.0, 2)
-
-    def test_empty_mask_raises(self):
-        v = vol(np.zeros((2, 2, 2)))
-        m = Mask(np.zeros((2, 2, 2), dtype=bool), (1, 1, 1))
-        with pytest.raises(EmptyRegionError):
-            mask_stats(v, m)
-
-    def test_full_mask_equals_global_stats(self):
-        rng = np.random.default_rng(1)
-        arr = rng.normal(size=(4, 3, 2))
-        v = vol(arr)
-        m = Mask(np.ones(arr.shape, dtype=bool), (1, 1, 1))
-        mean, std, count = mask_stats(v, m)
-        assert count == arr.size
-        assert mean == pytest.approx(arr.mean(), abs=1e-12)
-        assert std == pytest.approx(arr.std(), abs=1e-12)
-
-    def test_dims_mismatch(self):
-        v = vol(np.zeros((2, 2, 2)))
-        m = Mask(np.ones((2, 2, 3), dtype=bool), (1, 1, 1))
-        with pytest.raises(ValueError, match="mismatch"):
-            mask_stats(v, m)
 
 
 @pytest.mark.parametrize("dims, planes", [
