@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -351,6 +354,75 @@ class TestOtherCommands:
 
     def test_unknown_command_exits_1(self):
         assert main(["explode"]) == 1
+
+
+# sha256 of each CLI output, pinned before the JSON and CSV emitters moved
+# behind one output layer.  The run report is left out: its loss values are
+# einsum reductions, whose last bits may depend on the CPU.
+CLI_DIGESTS = {
+    "ablate stdout": "e8fb2c4e240a94792a1e858122a236832a47facbb25f7163fd7df2f6a64e50e7",
+    "ablate --json": "7f4adab045744e499d256662284d4e22ad246f092369684926dc86a40f1bfc84",
+    "ablate --csv": "17c3d894a27d204baecc326fb8a2ef439f13adf2313fd33b618f428618970415",
+    "ablate one-case stdout": "d755171eff44c943552ea7c668e46ef597d3b1782e947153b4d08e59d30b2c21",
+    "ablate one-case --json": "96e67e5b85f246c36a050dd613285d1d447744ce1fc2c8deb264dd391e486d65",
+    "ablate one-case --csv": "a32ddc9044684bd677a2836fd64a5f60c6c4b5771b82868ad06c79b529f0344a",
+    "metrics stdout": "7983ec807597dbfe8bf88189b6abacee00f80934ba540a6e03fb3dff8c4b4433",
+    "metrics --json": "7983ec807597dbfe8bf88189b6abacee00f80934ba540a6e03fb3dff8c4b4433",
+    "metrics --csv": "47a7ac147e7a64b9431faccf394982b709a14db579a845879851ac39be23131c",
+    "gatekeep stdout": "e63a42599867dd86ea2915499a7978123887898fe48eaa74e119408bca189911",
+    "gatekeep --report": "e63a42599867dd86ea2915499a7978123887898fe48eaa74e119408bca189911",
+    "select stdout": "91508c3cd92fdb7a02fbcf3d39fb34902096b34d6c98f5f8893a6cc8e0008e86",
+    "phantom stdout": "4eb01d849842c87f750a6636fabb9cbf424ff9191db6bcbe32ab7dda83c95877",
+    "phantom case.json": "4eb01d849842c87f750a6636fabb9cbf424ff9191db6bcbe32ab7dda83c95877",
+    "phantom spec.json": "191d28308fc14b150ce927c760d1d7bc846882c4f90b8c5bdad112da2aaf143e",
+}
+
+
+@pytest.fixture(scope="module")
+def cli_outputs(tmp_path_factory):
+    """The bytes of every output that CLI_DIGESTS pins, by key."""
+    d = tmp_path_factory.mktemp("cli")
+    case, other = d / "case", d / "other"
+    outputs = {}
+
+    def run(key, *argv, files=()):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main([str(a) for a in argv]) == 0
+        outputs[f"{key} stdout"] = buf.getvalue().encode()
+        for name, path in files:
+            outputs[f"{key} {name}"] = path.read_bytes()
+
+    run("phantom", "phantom", "--scenario", "under_segmented_matched", "--seed", 1, "--out", case,
+        files=[(name, case / name) for name in ("case.json", "spec.json")])
+    run("other phantom", "phantom", "--scenario", "under_segmented_mismatched", "--seed", 2,
+        "--out", other)
+    run("gatekeep", "gatekeep", "--logits", case / "logits0.vol", "--report", d / "gate.json",
+        files=[("--report", d / "gate.json")])
+    run("select", "select", "--image", case / "image_c00.vol", "--logits", case / "logits0.vol",
+        "--compact", case / "logits0.vol", "--diffuse", other / "logits0.vol")
+    run("metrics", "metrics", "--pred", case / "uncertain.vol", "--gt", case / "gt.vol",
+        "--json", d / "metrics.json", "--csv", d / "metrics.csv",
+        files=[("--json", d / "metrics.json"), ("--csv", d / "metrics.csv")])
+    # 13 cases print Wilcoxon p-values; one case prints degenerate std and
+    # skipped tests
+    for key, mix in (("ablate", "clean_confident=1,noise_island=6,under_segmented_mismatched=6"),
+                     ("ablate one-case", "noise_island=1")):
+        run(key, "ablate", "--mix", mix, "--seed", 5, "--steps", 40, "--threads", 2,
+            "--json", d / "ablate.json", "--csv", d / "ablate.csv",
+            files=[("--json", d / "ablate.json"), ("--csv", d / "ablate.csv")])
+    return outputs
+
+
+@pytest.mark.parametrize("key", list(CLI_DIGESTS))
+def test_cli_output_bytes_are_pinned(cli_outputs, key):
+    assert hashlib.sha256(cli_outputs[key]).hexdigest() == CLI_DIGESTS[key]
+
+
+def test_one_case_ablate_is_degenerate(cli_outputs):
+    table = json.loads(cli_outputs["ablate one-case --json"])
+    assert all(row["n"] == 1 and row["degenerate"] for row in table.values())
+    assert b"skipped (" in cli_outputs["ablate one-case stdout"]
 
 
 def _pythonpath() -> str:
