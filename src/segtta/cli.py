@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import re
 import sys
@@ -59,8 +58,17 @@ def _load_case(image_paths, logits_path) -> Case:
     return Case(image=channels, logits0=logits, case_id=Path(logits_path).stem)
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _emit(payload, path=None) -> None:
+    """Print ``payload`` as JSON and, given a path, write the same text there."""
+    text = fileio.dumps_json(payload)
+    if path:
+        Path(path).write_text(text)
+    print(text, end="")
+
+
+def _case_row(case_id, m: metrics.MetricSet, flagged, source) -> dict:
+    """One row of the case CSV (``metrics.CASE_CSV_FIELDS``)."""
+    return {"case_id": case_id, **dataclasses.asdict(m), "flagged": flagged, "source": source}
 
 
 def _cmd_run(args) -> int:
@@ -71,25 +79,15 @@ def _cmd_run(args) -> int:
     if args.out_mask:
         fileio.write_volume(args.out_mask, report.final_mask)
     if args.report:
-        fileio.write_report(args.report, report, include_timings=not args.no_timing)
-    _print_json(
-        {
-            "case_id": report.case_id,
-            "flagged": report.gate.flagged,
-            "source": report.mask_source,
-            "final_mask_voxels": report.final_mask.count,
-        }
-    )
+        Path(args.report).write_text(fileio.dumps_report(report, include_timings=not args.no_timing))
+    _emit({"case_id": report.case_id, "flagged": report.gate.flagged,
+           "source": report.mask_source, "final_mask_voxels": report.final_mask.count})
     return 0
 
 
 def _cmd_gatekeep(args) -> int:
     p0 = sigmoid(_load_volume(args.logits))
-    verdict = gate(p0)
-    payload = dataclasses.asdict(verdict)
-    if args.report:
-        Path(args.report).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _print_json(payload)
+    _emit(dataclasses.asdict(gate(p0)), args.report)
     return 0
 
 
@@ -97,8 +95,7 @@ def _cmd_select(args) -> int:
     case = _load_case(args.image, args.logits)
     compact_z = _load_volume(args.compact)
     diffuse_z = _load_volume(args.diffuse)
-    result = select(case, compact_z, diffuse_z)
-    _print_json(dataclasses.asdict(result))
+    _emit(dataclasses.asdict(select(case, compact_z, diffuse_z)))
     return 0
 
 
@@ -106,20 +103,9 @@ def _cmd_metrics(args) -> int:
     pred = _load_mask(args.pred)
     gt = _load_mask(args.gt)
     m = metrics.evaluate(pred, gt)
-    payload = dataclasses.asdict(m)
     if args.csv:
-        row = {
-            "case_id": Path(args.pred).stem,
-            "dice": m.dice,
-            "hd95_mm": m.hd95_mm,
-            "precision": m.precision,
-            "flagged": "",
-            "source": "",
-        }
-        Path(args.csv).write_text(metrics.case_rows_csv([row]))
-    if args.json:
-        Path(args.json).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _print_json(payload)
+        Path(args.csv).write_text(metrics.case_rows_csv([_case_row(Path(args.pred).stem, m, "", "")]))
+    _emit(dataclasses.asdict(m), args.json)
     return 0
 
 
@@ -153,8 +139,7 @@ def _cmd_phantom(args) -> int:
         "expected_flagged": ann.expected_flagged,
         "files": files,
     }
-    (out / "case.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    _print_json(manifest)
+    _emit(manifest, out / "case.json")
     return 0
 
 
@@ -164,9 +149,10 @@ def _parse_mix(text: str) -> list[tuple[str, int]]:
         if not part:
             continue
         name, _, count = part.partition("=")
-        if not count:
-            raise CliInputError(f"bad mix entry {part!r}; expected scenario=count")
-        mix.append((name.strip(), int(count)))
+        try:
+            mix.append((name.strip(), int(count)))
+        except ValueError:  # no count, or not an integer
+            raise CliInputError(f"bad mix entry {part!r}; expected scenario=integer count") from None
     return mix
 
 
@@ -186,33 +172,17 @@ def _cmd_ablate(args) -> int:
                 for mode, reports in runs.items()}
     table = {mode: metrics.aggregate(sets) for mode, sets in per_mode.items()}
     if args.csv:
-        rows = [
-            {
-                "case_id": r.case_id,
-                "dice": m.dice,
-                "hd95_mm": m.hd95_mm,
-                "precision": m.precision,
-                "flagged": r.gate.flagged,
-                "source": r.mask_source,
-            }
-            for r, m in zip(runs["full"], per_mode["full"])
-        ]
+        rows = [_case_row(r.case_id, m, r.gate.flagged, r.mask_source)
+                for r, m in zip(runs["full"], per_mode["full"])]
         Path(args.csv).write_text(metrics.case_rows_csv(rows))
-    header = f"{'mode':<16} {'dice':>18} {'hd95_mm':>18} {'precision':>18}"
-    print(header)
+    print(f"{'mode':<16} " + " ".join(f"{k:>18}" for k in metrics.METRICS))
     for mode, st in table.items():
-        print(
-            f"{mode:<16} "
-            f"{st.dice_mean:9.4f} ± {st.dice_std:6.4f} "
-            f"{st.hd95_mean:9.4f} ± {st.hd95_std:6.4f} "
-            f"{st.precision_mean:9.4f} ± {st.precision_std:6.4f}"
-        )
+        print(f"{mode:<16} " + " ".join(
+            f"{getattr(st.mean, k):9.4f} ± {getattr(st.std, k):6.4f}" for k in metrics.METRICS))
     _print_full_vs_ablations(per_mode)
     if args.json:
-        payload = {
-            mode: json.loads(metrics.summary_json(st)) for mode, st in table.items()
-        }
-        Path(args.json).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        payload = {mode: metrics.summary(st) for mode, st in table.items()}
+        Path(args.json).write_text(fileio.dumps_json(payload))
     return 0
 
 
@@ -322,7 +292,7 @@ def main(argv=None) -> int:
     except optim.NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (CliInputError, fileio.VolumeFileError, phantom.GeometryError, FileNotFoundError,
+    except (CliInputError, fileio.VolumeFileError, phantom.GeometryError, OSError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -21,7 +21,6 @@ import dataclasses
 import json
 import os
 import zlib
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -155,6 +154,12 @@ def read_volume(path) -> Volume | Mask:
 # ---------------------------------------------------------------------------
 
 
+def dumps_json(payload) -> str:
+    """The one JSON text form of every output: sorted keys, two-space indent,
+    a final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def dumps_report(report: RunReport, include_timings: bool = True) -> str:
     """JSON report: full decision trace, full effective config, scalars at
     full precision.  The mask payload lives in its own volume file; only its
@@ -165,16 +170,11 @@ def dumps_report(report: RunReport, include_timings: bool = True) -> str:
     payload["schema_version"] = REPORT_SCHEMA_VERSION
     if not include_timings:
         payload["timings_s"] = None
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def write_report(path, report: RunReport, include_timings: bool = True) -> None:
-    Path(path).write_text(dumps_report(report, include_timings))
+    return dumps_json(payload)
 
 
 def spec_to_json(spec) -> str:
-    payload = dataclasses.asdict(spec)
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return dumps_json(dataclasses.asdict(spec))
 
 
 def spec_from_json(text: str, spec_cls):

@@ -20,9 +20,8 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -37,16 +36,16 @@ class MetricSet:
     precision: float
 
 
+# the metric names in MetricSet's field order: the columns of every table
+METRICS = tuple(f.name for f in fields(MetricSet))
+
+
 @dataclass(frozen=True)
 class CohortStats:
+    """Per-metric mean and sample (N-1) std over n cases; std is 0 when n == 1."""
     n: int
-    dice_mean: float
-    dice_std: float
-    hd95_mean: float
-    hd95_std: float
-    precision_mean: float
-    precision_std: float
-    degenerate: bool = False  # true when n == 1 (std reported as 0)
+    mean: MetricSet
+    std: MetricSet
 
 
 @dataclass(frozen=True)
@@ -254,25 +253,13 @@ def evaluate(pred: Mask, gt: Mask) -> MetricSet:
 
 
 def aggregate(metric_sets: Sequence[MetricSet]) -> CohortStats:
-    """Per-metric mean and sample (N-1) std; a single case reports std 0 with
-    the degenerate flag set."""
+    """Per-metric mean and sample (N-1) std; a single case reports std 0."""
     if len(metric_sets) < 1:
         raise ValueError("aggregate needs at least one metric set")
-    arr = np.array([[m.dice, m.hd95_mm, m.precision] for m in metric_sets], dtype=np.float64)
-    means = arr.mean(axis=0)
-    if arr.shape[0] == 1:
-        stds = np.zeros(3)
-        degenerate = True
-    else:
-        stds = arr.std(axis=0, ddof=1)
-        degenerate = False
-    return CohortStats(
-        n=arr.shape[0],
-        dice_mean=float(means[0]), dice_std=float(stds[0]),
-        hd95_mean=float(means[1]), hd95_std=float(stds[1]),
-        precision_mean=float(means[2]), precision_std=float(stds[2]),
-        degenerate=degenerate,
-    )
+    arr = np.array([[getattr(m, k) for k in METRICS] for m in metric_sets], dtype=np.float64)
+    stds = arr.std(axis=0, ddof=1) if len(arr) > 1 else np.zeros(len(METRICS))
+    return CohortStats(n=len(arr), mean=MetricSet(*map(float, arr.mean(axis=0))),
+                       std=MetricSet(*map(float, stds)))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +385,7 @@ def wilcoxon_holm(
 # emitters
 # ---------------------------------------------------------------------------
 
-CASE_CSV_FIELDS = ("case_id", "dice", "hd95_mm", "precision", "flagged", "source")
+CASE_CSV_FIELDS = ("case_id", *METRICS, "flagged", "source")
 
 
 def case_rows_csv(rows: Sequence[Mapping[str, object]]) -> str:
@@ -411,12 +398,8 @@ def case_rows_csv(rows: Sequence[Mapping[str, object]]) -> str:
     return buf.getvalue()
 
 
-def summary_json(stats: CohortStats) -> str:
-    payload = {
-        "n": stats.n,
-        "dice": {"mean": stats.dice_mean, "std": stats.dice_std},
-        "hd95_mm": {"mean": stats.hd95_mean, "std": stats.hd95_std},
-        "precision": {"mean": stats.precision_mean, "std": stats.precision_std},
-        "degenerate": stats.degenerate,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def summary(stats: CohortStats) -> dict:
+    """The JSON object of one cohort: n, degenerate (n == 1) and each metric's
+    mean and std."""
+    return {"n": stats.n, "degenerate": stats.n == 1,
+            **{k: {"mean": getattr(stats.mean, k), "std": getattr(stats.std, k)} for k in METRICS}}

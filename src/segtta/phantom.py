@@ -41,12 +41,13 @@ where v enumerates voxels in the canonical x-fastest order.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .volume import Case, Mask, Volume, axis_coords, check_fields
+from .volume import Case, Mask, Volume, axis_coords, check_fields, require
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -402,12 +403,14 @@ def mixed_cohort_specs(counts: Sequence[tuple[str, int]], base_seed: int = 0) ->
     """Expand (scenario, count) pairs into specs with seeds base_seed + i.
 
     Scenario blocks appear in the template's own order, so the mix is part of
-    the reproducibility contract.
+    the reproducibility contract.  Each count is an integer >= 0, not a bool.
     """
     specs: list[PhantomSpec] = []
     i = 0
     for scenario, count in counts:
-        for _ in range(int(count)):
+        require(isinstance(count, numbers.Integral) and not isinstance(count, bool) and count >= 0,
+                f"count of scenario {scenario!r} must be an integer >= 0, got {count!r}")
+        for _ in range(count):
             specs.append(scenario_spec(scenario, base_seed + i))
             i += 1
     return specs

@@ -276,6 +276,18 @@ class TestOtherCommands:
         assert main(["ablate", "--mix", "clean_confident=1", "--steps", "2", "--lr", lr]) == 1
         assert capsys.readouterr().err.startswith(f"error: lr must be finite and > 0, got {float(lr)!r}")
 
+    @pytest.mark.parametrize("mix, named", [
+        ("clean_confident=-3,noise_island=0,clean_confident=6",
+         "count of scenario 'clean_confident' must be an integer >= 0, got -3"),
+        ("clean_confident=x", "bad mix entry 'clean_confident=x'"),
+        ("clean_confident=1.5", "bad mix entry 'clean_confident=1.5'"),
+        ("clean_confident", "bad mix entry 'clean_confident'"),
+    ], ids=["negative", "not-a-number", "fraction", "no-count"])
+    def test_ablate_bad_mix_exits_1(self, capsys, mix, named):
+        assert main(["ablate", "--mix", mix, "--steps", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and named in captured.err and captured.out == ""
+
     def test_ablate_gates_and_refines_each_case_once(self, capsys, monkeypatch):
         # the flagged case needs compact, diffuse and diffuse with g == 1 over
         # the five modes; the clean one compact and diffuse (no_gatekeeper)
@@ -347,6 +359,27 @@ class TestOtherCommands:
         assert all("skipped (" in line and "nonzero paired differences" in line for line in lines[1:])
         assert set(json.loads(json_out.read_text())) == {
             "full", "no_gatekeeper", "no_edge_map", "only_compact", "only_diffuse"}
+
+    def test_phantom_out_onto_a_file_exits_1(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("")
+        assert main(["phantom", "--scenario", "clean_confident", "--out", str(tmp_path / "taken")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "File exists" in err and "taken" in err
+
+    def test_gatekeep_report_onto_a_directory_exits_1(self, tmp_path, capsys):
+        paths = write_phantom_files(tmp_path)
+        assert main(["gatekeep", "--logits", paths["logits"], "--report", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Is a directory" in captured.err
+        assert captured.out == ""
+
+    def test_metrics_json_under_a_file_exits_1(self, tmp_path, capsys):
+        paths = write_phantom_files(tmp_path)
+        assert main(["metrics", "--pred", paths["gt"], "--gt", paths["gt"],
+                     "--json", str(tmp_path / "gt.vol" / "x.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Not a directory" in captured.err
+        assert captured.out == ""
 
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["gradcheck", "--bogus"]) == 1

@@ -22,7 +22,6 @@ from segtta.fileio import (
     UnsupportedVersionError,
     VolumeFileError,
     read_volume,
-    write_report,
     write_volume,
 )
 from segtta.optim import OptimizerProtocol
@@ -356,16 +355,17 @@ def report():
 
 class TestReportSerialization:
 
-    def test_report_round_trips_losslessly(self, tmp_path, report):
-        path = tmp_path / "report.json"
-        write_report(path, report, include_timings=False)
-        loaded = json.loads(path.read_text())
-        assert json.dumps(loaded, indent=2, sort_keys=True) + "\n" == path.read_text()
+    def test_json_text_form(self):
+        # sorted keys, two-space indent, a final newline
+        assert fileio.dumps_json({"b": 1, "a": [0.1, None]}) == (
+            '{\n  "a": [\n    0.1,\n    null\n  ],\n  "b": 1\n}\n')
 
-    def test_report_embeds_full_config(self, tmp_path, report):
-        path = tmp_path / "report.json"
-        write_report(path, report)
-        payload = json.loads(path.read_text())
+    def test_report_round_trips_losslessly(self, report):
+        text = fileio.dumps_report(report, include_timings=False)
+        assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
+
+    def test_report_embeds_full_config(self, report):
+        payload = json.loads(fileio.dumps_report(report))
         cfg = payload["config"]
         assert cfg["compact"]["lambda_grav"] == 50.0
         assert cfg["protocol"]["steps"] == 25

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 
 import numpy as np
@@ -18,7 +17,7 @@ from segtta.metrics import (
     hd95,
     holm_bonferroni,
     precision,
-    summary_json,
+    summary,
     surface_voxels,
     wilcoxon_holm,
 )
@@ -404,17 +403,18 @@ class TestAverageRanks:
 class TestAggregate:
     def test_single_case(self):
         stats = aggregate([MetricSet(0.9, 1.5, 0.8)])
-        assert stats.n == 1 and stats.degenerate
-        assert stats.dice_std == stats.hd95_std == stats.precision_std == 0.0
+        assert stats.n == 1 and summary(stats)["degenerate"] is True
+        assert stats.mean == MetricSet(0.9, 1.5, 0.8) and stats.std == MetricSet(0.0, 0.0, 0.0)
 
     def test_two_values_sample_std(self):
         stats = aggregate([MetricSet(0.8, 1.0, 0.5), MetricSet(0.9, 3.0, 0.7)])
-        assert stats.dice_mean == pytest.approx(0.85)
-        assert stats.dice_std == pytest.approx(0.07071067811865477)
+        assert stats.mean.dice == pytest.approx(0.85)
+        assert stats.std.dice == pytest.approx(0.07071067811865477)
+        assert summary(stats)["degenerate"] is False
 
     def test_identical_sets_zero_std(self):
         stats = aggregate([MetricSet(0.5, 2.0, 0.25)] * 7)
-        assert stats.dice_std == 0.0 and stats.n == 7
+        assert stats.std.dice == 0.0 and stats.n == 7
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -428,12 +428,14 @@ class TestEmitters:
              "flagged": True, "source": "baseline"},
         ]
         text = case_rows_csv(rows)
+        assert CASE_CSV_FIELDS == ("case_id", "dice", "hd95_mm", "precision", "flagged", "source")
         assert text.splitlines()[0] == ",".join(CASE_CSV_FIELDS)
         assert text.splitlines()[1] == "a,1.0,0.0,1.0,True,baseline"
 
     def test_summary_json_shape(self):
         stats = aggregate([MetricSet(0.8, 1.0, 0.5), MetricSet(0.9, 3.0, 0.7)])
-        payload = json.loads(summary_json(stats))
+        payload = summary(stats)
         assert payload["n"] == 2
         assert payload["dice"]["mean"] == pytest.approx(0.85)
+        assert payload["hd95_mm"] == {"mean": 2.0, "std": stats.std.hd95_mm}
         assert set(payload) == {"n", "dice", "hd95_mm", "precision", "degenerate"}

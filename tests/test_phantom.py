@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -343,6 +344,16 @@ class TestCohorts:
         assert len(specs) == 5
         assert [s.seed for s in specs] == [100, 101, 102, 103, 104]
         assert [s.scenario for s in specs] == ["clean_confident"] * 3 + ["noise_island"] * 2
+
+    @pytest.mark.parametrize("count", [-3, 2.5, 2.0, True, "2", None])
+    def test_template_rejects_a_count_that_is_not_a_whole_number(self, count):
+        message = f"count of scenario 'noise_island' must be an integer >= 0, got {count!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mixed_cohort_specs([("clean_confident", 1), ("noise_island", count)])
+
+    def test_template_takes_zero_and_numpy_counts(self):
+        specs = mixed_cohort_specs([("clean_confident", 0), ("noise_island", np.int64(2))], base_seed=7)
+        assert [(s.scenario, s.seed) for s in specs] == [("noise_island", 7), ("noise_island", 8)]
 
     def test_template_label_mix(self):
         specs = mixed_cohort_specs([("clean_confident", 2), ("fragmented_small", 2)])
