@@ -403,11 +403,13 @@ def mixed_cohort_specs(counts: Sequence[tuple[str, int]], base_seed: int = 0) ->
     """Expand (scenario, count) pairs into specs with seeds base_seed + i.
 
     Scenario blocks appear in the template's own order, so the mix is part of
-    the reproducibility contract.  Each count is an integer >= 0, not a bool.
+    the reproducibility contract.  Each scenario is one of :data:`SCENARIOS`,
+    whatever its count, and each count is an integer >= 0, not a bool.
     """
     specs: list[PhantomSpec] = []
     i = 0
     for scenario, count in counts:
+        require(scenario in SCENARIOS, f"unknown scenario {scenario!r}; expected one of {SCENARIOS}")
         require(isinstance(count, numbers.Integral) and not isinstance(count, bool) and count >= 0,
                 f"count of scenario {scenario!r} must be an integer >= 0, got {count!r}")
         for _ in range(count):

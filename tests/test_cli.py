@@ -282,7 +282,8 @@ class TestOtherCommands:
         ("clean_confident=x", "bad mix entry 'clean_confident=x'"),
         ("clean_confident=1.5", "bad mix entry 'clean_confident=1.5'"),
         ("clean_confident", "bad mix entry 'clean_confident'"),
-    ], ids=["negative", "not-a-number", "fraction", "no-count"])
+        ("bogus=0,clean_confident=1", "unknown scenario 'bogus'"),
+    ], ids=["negative", "not-a-number", "fraction", "no-count", "unknown-scenario-of-count-0"])
     def test_ablate_bad_mix_exits_1(self, capsys, mix, named):
         assert main(["ablate", "--mix", mix, "--steps", "2"]) == 1
         captured = capsys.readouterr()

@@ -351,6 +351,11 @@ class TestCohorts:
         with pytest.raises(ValueError, match=re.escape(message)):
             mixed_cohort_specs([("clean_confident", 1), ("noise_island", count)])
 
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_template_rejects_an_unknown_scenario_whatever_its_count(self, count):
+        with pytest.raises(ValueError, match=re.escape("unknown scenario 'bogus'")):
+            mixed_cohort_specs([("bogus", count), ("clean_confident", 1)])
+
     def test_template_takes_zero_and_numpy_counts(self):
         specs = mixed_cohort_specs([("clean_confident", 0), ("noise_island", np.int64(2))], base_seed=7)
         assert [(s.scenario, s.seed) for s in specs] == [("noise_island", 7), ("noise_island", 8)]
