@@ -1,11 +1,10 @@
 """Gated, hypothesis-conditioned test-time logit refinement for binary 3D
 segmentation, with a synthetic phantom benchmark suite."""
 
-from .gatekeeper import GateThresholds, GateVerdict, gate
+from .gatekeeper import GateVerdict, gate
 from .losses import (
     CompactWeights,
     DiffuseWeights,
-    EdgeMapConfig,
     LossTermResult,
     anchor_term,
     edge_map,
@@ -28,7 +27,7 @@ from .metrics import (
 from .optim import AdamState, NumericalFailure, OptimizerProtocol, RefinementTrace, adam_step, refine
 from .phantom import GeneratedPhantom, PhantomAnnotations, PhantomSpec, cohort, generate, scenario_spec
 from .pipeline import MODES, PipelineConfig, RunReport, run_case, run_cohort, run_modes
-from .selector import SelectionResult, SelectorConfig, select
+from .selector import SelectionResult, select
 from .volume import (
     Case,
     Mask,

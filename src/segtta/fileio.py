@@ -32,7 +32,7 @@ if TYPE_CHECKING:
 
 MAGIC = b"HDTV"
 VERSION = 1
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 # z-planes per read block: of 1, 8, 16, 32 and 64, 32 read a 240x240x155 f64
 # volume fastest, and 1 or 8 no faster than the whole file read at once
 BLOCK_PLANES = 32
@@ -161,8 +161,8 @@ def dumps_json(payload) -> str:
 
 
 def dumps_report(report: RunReport, include_timings: bool = True) -> str:
-    """JSON report: full decision trace, full effective config, scalars at
-    full precision.  The mask payload lives in its own volume file; only its
+    """JSON report: full decision trace, the run's config (the fixed
+    constants aside), scalars at full precision.  The mask payload lives in its own volume file; only its
     voxel count is recorded here."""
     payload = dataclasses.asdict(dataclasses.replace(report, final_mask=None))
     del payload["final_mask"]

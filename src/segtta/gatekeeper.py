@@ -12,20 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import Volume, check_fields, require
+from .volume import Volume
 
-
-@dataclass(frozen=True)
-class GateThresholds:
-    vol_min: int = 300        # predicted volumes below this are flagged (strict <)
-    unc_lo: float = 0.3       # indeterminate band is (unc_lo, unc_hi), both strict
-    unc_hi: float = 0.7
-    unc_max: float = 0.05     # flagged when the band fraction exceeds this (strict >)
-
-    def __post_init__(self):
-        check_fields(self, vol_min=">= 0", unc_lo="in [0, 1]", unc_hi="in [0, 1]", unc_max="in [0, 1]")
-        require(self.unc_lo < self.unc_hi,
-                f"need unc_lo < unc_hi, got unc_lo={self.unc_lo!r}, unc_hi={self.unc_hi!r}")
+VOL_MIN = 300     # predicted volumes below this are flagged (strict <)
+UNC_LO = 0.3      # indeterminate band is (UNC_LO, UNC_HI), both strict
+UNC_HI = 0.7
+UNC_MAX = 0.05    # flagged when the band fraction exceeds this (strict >)
 
 
 @dataclass(frozen=True)
@@ -36,12 +28,12 @@ class GateVerdict:
     trigger: str  # small_volume | high_uncertainty | both | none
 
 
-def gate(p0: Volume, thresholds: GateThresholds = GateThresholds()) -> GateVerdict:
+def gate(p0: Volume) -> GateVerdict:
     """Assess the baseline probabilities.
 
     The predicted region is P0 > 0.5; the uncertainty ratio is the fraction of
-    that region with unc_lo < P0 < unc_hi.  An empty prediction has ratio 0
-    and is flagged through the small-volume trigger (0 < vol_min already).
+    that region with UNC_LO < P0 < UNC_HI.  An empty prediction has ratio 0
+    and is flagged through the small-volume trigger (0 < VOL_MIN).
     """
     arr = p0.data
     predicted = arr > 0.5
@@ -49,10 +41,10 @@ def gate(p0: Volume, thresholds: GateThresholds = GateThresholds()) -> GateVerdi
     if n_pred == 0:
         ratio = 0.0
     else:
-        uncertain = predicted & (arr > thresholds.unc_lo) & (arr < thresholds.unc_hi)
+        uncertain = predicted & (arr > UNC_LO) & (arr < UNC_HI)
         ratio = float(np.count_nonzero(uncertain)) / n_pred
-    small = n_pred < thresholds.vol_min
-    unstable = ratio > thresholds.unc_max
+    small = n_pred < VOL_MIN
+    unstable = ratio > UNC_MAX
     trigger = {
         (True, True): "both",
         (True, False): "small_volume",

@@ -83,16 +83,10 @@ class DiffuseWeights:
         check_fields(self, **dict.fromkeys(vars(self), ">= 0"))
 
 
-@dataclass(frozen=True)
-class EdgeMapConfig:
-    """Edge-stopping map parameters: Gaussian scale (physical units) and the
-    gradient sensitivity of g = 1 / (1 + alpha * |grad I|^2)."""
-
-    sigma_mm: float = 1.0
-    alpha: float = 10.0
-
-    def __post_init__(self):
-        check_fields(self, **dict.fromkeys(vars(self), ">= 0"))
+# Edge-stopping map: Gaussian scale in mm, and the gradient sensitivity alpha
+# of g = 1 / (1 + alpha |grad I|^2).
+EDGE_SIGMA_MM = 1.0
+EDGE_ALPHA = 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -452,13 +446,13 @@ def geodesic_term(z: Volume, g: Volume) -> LossTermResult:
     return _single(z, face=1.0, faces=_face_weights(g.data))
 
 
-def edge_map(channels: Sequence[Volume], cfg: EdgeMapConfig = EdgeMapConfig()) -> Volume:
+def edge_map(channels: Sequence[Volume]) -> Volume:
     """Edge-stopping map in (0, 1]: ~1 in homogeneous tissue, ~0 at image edges.
 
-    Per channel: Gaussian-smooth at a physical scale, take the spacing-scaled
+    Per channel: Gaussian-smooth at EDGE_SIGMA_MM, take the spacing-scaled
     central-difference gradient magnitude, normalize by its 99th percentile,
-    then g_c = 1 / (1 + alpha * m^2).  The map is the voxelwise minimum over
-    channels, so an edge in any channel acts as a barrier.
+    then g_c = 1 / (1 + EDGE_ALPHA * m^2).  The map is the voxelwise minimum
+    over channels, so an edge in any channel acts as a barrier.
     """
     channels = list(channels)
     if not channels:
@@ -466,7 +460,7 @@ def edge_map(channels: Sequence[Volume], cfg: EdgeMapConfig = EdgeMapConfig()) -
     for ch in channels[1:]:
         require_same_grid(ch, channels[0], "image channels")
     spacing = channels[0].spacing
-    sigma_vox = [cfg.sigma_mm / s for s in spacing]
+    sigma_vox = [EDGE_SIGMA_MM / s for s in spacing]
     g = None
     for ch in channels:
         # the smoothed image is freed before the percentile copies the
@@ -477,7 +471,7 @@ def edge_map(channels: Sequence[Volume], cfg: EdgeMapConfig = EdgeMapConfig()) -
             norm /= p99
         else:
             norm.fill(0.0)
-        np.multiply(norm, cfg.alpha, out=g_c)
+        np.multiply(norm, EDGE_ALPHA, out=g_c)
         g_c *= norm
         g_c += 1.0
         np.divide(1.0, g_c, out=g_c)

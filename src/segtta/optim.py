@@ -35,6 +35,11 @@ HypothesisName = Literal["compact", "diffuse"]
 #: Spacing of the sampled loss curve, in Adam steps.
 LOSS_EVERY = 50
 
+#: Adam's moment decays beta1, beta2 and its denominator guard eps.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS_ADAM = 1e-8
+
 
 class NumericalFailure(RuntimeError):
     """Optimization hit a non-finite gradient; message names the step index."""
@@ -44,12 +49,9 @@ class NumericalFailure(RuntimeError):
 class OptimizerProtocol:
     lr: float = 0.1
     steps: int = 1000
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
 
     def __post_init__(self):
-        check_fields(self, lr="> 0", steps=">= 0", beta1="in [0, 1)", beta2="in [0, 1)", eps_adam="> 0")
+        check_fields(self, lr="> 0", steps=">= 0")
 
 
 @dataclass
@@ -100,9 +102,10 @@ def adam_step(state: AdamState, z: np.ndarray, grad: np.ndarray) -> tuple[AdamSt
         M = beta1 M + g,  V = beta2 V + g^2,  z' = z - k_t M / (sqrt(V) + eps_t)
 
     with s_t = sqrt((1 - beta2) / (1 - beta2^t)), k_t = lr (1 - beta1) /
-    (1 - beta1^t) / s_t and eps_t = eps / s_t.  Since m = (1 - beta1) M and
-    sqrt(v_hat) = s_t sqrt(V), this is Adam's update in exact arithmetic; the
-    scalars take the bias correction off the full grid.
+    (1 - beta1^t) / s_t and eps_t = eps / s_t, where beta1, beta2 and eps
+    are :data:`BETA1`, :data:`BETA2` and :data:`EPS_ADAM`.  Since
+    m = (1 - beta1) M and sqrt(v_hat) = s_t sqrt(V), this is Adam's update in
+    exact arithmetic; the scalars take the bias correction off the full grid.
 
     The update is in place: ``state`` (moments, counter) and ``z`` are
     overwritten and returned, bit-identical to the out-of-place form of the
@@ -113,20 +116,19 @@ def adam_step(state: AdamState, z: np.ndarray, grad: np.ndarray) -> tuple[AdamSt
     """
     if not all_finite(grad):
         raise NumericalFailure(f"non-finite gradient at step {state.t + 1}")
-    pr = state.protocol
     state.t += 1
-    s = math.sqrt((1.0 - pr.beta2) / (1.0 - pr.beta2**state.t))
-    k = pr.lr * (1.0 - pr.beta1) / (1.0 - pr.beta1**state.t) / s
+    s = math.sqrt((1.0 - BETA2) / (1.0 - BETA2**state.t))
+    k = state.protocol.lr * (1.0 - BETA1) / (1.0 - BETA1**state.t) / s
     planes = slab_planes(z.shape)
     for a in range(0, len(z), planes):
         sl = slice(a, a + planes)
         m, v, g = state.m[sl], state.v[sl], grad[sl]
-        m *= pr.beta1
+        m *= BETA1
         m += g
-        v *= pr.beta2
+        v *= BETA2
         v += np.multiply(g, g, out=g)
         den = np.sqrt(v, out=g)
-        den += pr.eps_adam / s
+        den += EPS_ADAM / s
         step = np.divide(m, den, out=g)
         step *= k
         z[sl] -= step
@@ -138,12 +140,12 @@ def refine(
     hypothesis: HypothesisName,
     weights=None,
     protocol: OptimizerProtocol = OptimizerProtocol(),
-    edge_cfg: losses.EdgeMapConfig | None = losses.EdgeMapConfig(),
+    edge_map: bool = True,
 ) -> RefinementTrace:
     """Run the named hypothesis loss from z = z0 for ``protocol.steps`` updates.
 
     For the diffuse hypothesis the edge map is computed once from the case
-    image before iteration; ``edge_cfg=None`` gives g identically 1 instead,
+    image before iteration; ``edge_map=False`` gives g identically 1 instead,
     the map of the no-edge-map ablation.  The loss value is recorded at
     step 0, every :data:`LOSS_EVERY`-th step and the last step.
     """
@@ -153,7 +155,7 @@ def refine(
         objective = losses.compact_objective(z0, case.spacing, weights)
     elif hypothesis == "diffuse":
         weights = weights if weights is not None else losses.DiffuseWeights()
-        g = losses.edge_map(case.image, edge_cfg).data if edge_cfg is not None else None
+        g = losses.edge_map(case.image).data if edge_map else None
         objective = losses.diffuse_objective(z0, g, weights)
         del g  # only its face weights are used from here on
     else:

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 from . import losses, optim
-from .gatekeeper import GateThresholds, GateVerdict, gate
-from .selector import SelectionResult, SelectorConfig, select
+from .gatekeeper import GateVerdict, gate
+from .selector import SelectionResult, select
 from .volume import Case, Mask, check_fields, sigmoid, threshold
 
 
@@ -45,12 +45,9 @@ MODES = tuple(MODE_TABLE)
 @dataclass(frozen=True)
 class PipelineConfig:
     mode: str = "full"
-    gate: GateThresholds = field(default_factory=GateThresholds)
     compact: losses.CompactWeights = field(default_factory=losses.CompactWeights)
     diffuse: losses.DiffuseWeights = field(default_factory=losses.DiffuseWeights)
     protocol: optim.OptimizerProtocol = field(default_factory=optim.OptimizerProtocol)
-    selector: SelectorConfig = field(default_factory=SelectorConfig)
-    edge: losses.EdgeMapConfig = field(default_factory=losses.EdgeMapConfig)
     parallel_hypotheses: bool = True  # a pool thread per hypothesis per worker
 
     def __post_init__(self):
@@ -110,7 +107,7 @@ def run_modes(
             return []
         return [(h, h == "compact" or row.edge_map) for h in row.hypotheses]
 
-    gates = [_gate(case, cfg.gate) for case in cases]
+    gates = [_gate(case) for case in cases]
     plan = [list(dict.fromkeys(k for mode in cfgs for k in keys(mode, verdict)))
             for verdict, _, _ in gates]
 
@@ -120,7 +117,7 @@ def run_modes(
         weights = cfg.compact if hypothesis == "compact" else cfg.diffuse
         try:
             trace = optim.refine(case, hypothesis, weights=weights, protocol=cfg.protocol,
-                                 edge_cfg=cfg.edge if edge_map else None)
+                                 edge_map=edge_map)
         except optim.NumericalFailure as exc:
             return f"case {case.case_id!r}, hypothesis {hypothesis}: {exc}"
         return trace, time.perf_counter() - t0
@@ -144,13 +141,13 @@ def run_modes(
     return reports
 
 
-def _gate(case: Case, thresholds: GateThresholds) -> tuple[GateVerdict, float, Mask | None]:
+def _gate(case: Case) -> tuple[GateVerdict, float, Mask | None]:
     """The case's gate verdict, its seconds, and the baseline mask when it is
     not flagged.  The probability grid lives only here, so no refinement
     holds it."""
     t0 = time.perf_counter()
     p0 = sigmoid(case.logits0)
-    verdict = gate(p0, thresholds)
+    verdict = gate(p0)
     gate_s = time.perf_counter() - t0
     return verdict, gate_s, None if verdict.flagged else threshold(p0, 0.5)
 
@@ -174,7 +171,7 @@ def _report(case, cfg, verdict, gate_s, baseline, runs) -> RunReport:
     source, selection = next(iter(traces), "baseline"), None
     if len(traces) == 2:
         t0 = time.perf_counter()
-        selection = select(case, traces["compact"].final_z, traces["diffuse"].final_z, cfg.selector)
+        selection = select(case, traces["compact"].final_z, traces["diffuse"].final_z)
         timings["select_s"] = time.perf_counter() - t0
         source = selection.chosen
     summaries = {h: TraceSummary(t.initial_loss, t.final_loss, t.steps) for h, t in traces.items()}

@@ -4,9 +4,9 @@ The compact result is the safe default.  The diffuse result is accepted only
 if the voxels it recruited beyond the high-confidence core share the core's
 intensity signature: the texture-consistency score
 
-    score = exp(-0.5 * (|mu_delta - mu_core| / (gamma * (sigma_core + eps)))^2)
+    score = exp(-0.5 * (|mu_delta - mu_core| / (GAMMA * (sigma_core + EPS)))^2)
 
-must exceed a strict acceptance threshold.  With multiple image channels the
+must exceed ACCEPT_THRESHOLD, strictly.  With multiple image channels the
 minimum per-channel score is used, so any channel can veto the expansion.
 """
 
@@ -17,18 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import Case, Volume, check_fields, require_same_grid, sigmoid
+from .volume import Case, Volume, require_same_grid, sigmoid
 
-
-@dataclass(frozen=True)
-class SelectorConfig:
-    core_threshold: float = 0.8    # high-confidence core is P0 > this (strict)
-    accept_threshold: float = 0.95  # diffuse accepted when score > this (strict)
-    gamma: float = 1.5              # tolerance scaling on the core spread
-    eps: float = 1e-6               # guard on sigma_core, in intensity units
-
-    def __post_init__(self):
-        check_fields(self, core_threshold="in [0, 1]", accept_threshold="in [0, 1]", gamma="> 0", eps="> 0")
+CORE_THRESHOLD = 0.8     # high-confidence core is P0 > this (strict)
+ACCEPT_THRESHOLD = 0.95  # diffuse accepted when score > this (strict)
+GAMMA = 1.5              # tolerance scaling on the core spread
+EPS = 1e-6               # guard on sigma_core, in intensity units
 
 
 @dataclass(frozen=True)
@@ -42,22 +36,17 @@ class SelectionResult:
     mu_delta: float | None = None
 
 
-def _channel_score(ch: Volume, core: np.ndarray, delta: np.ndarray, gamma: float, eps: float):
+def _channel_score(ch: Volume, core: np.ndarray, delta: np.ndarray):
     # (score, mu_core, sigma_core, mu_delta) of one channel over the nonempty
     # bool regions core and delta; sigma_core is the population std
     vals = ch.data[core]
     mu_core, sigma_core = float(vals.mean()), float(vals.std())
     mu_delta = float(ch.data[delta].mean())
-    ratio = abs(mu_delta - mu_core) / (gamma * (sigma_core + eps))
+    ratio = abs(mu_delta - mu_core) / (GAMMA * (sigma_core + EPS))
     return math.exp(-0.5 * ratio * ratio), mu_core, sigma_core, mu_delta
 
 
-def select(
-    case: Case,
-    compact_z: Volume,
-    diffuse_z: Volume,
-    cfg: SelectorConfig = SelectorConfig(),
-) -> SelectionResult:
+def select(case: Case, compact_z: Volume, diffuse_z: Volume) -> SelectionResult:
     """Pick the hypothesis whose mask becomes the final output.
 
     The diffuse mask is its probabilities binarized at 0.5.  If the core or
@@ -66,7 +55,7 @@ def select(
     """
     require_same_grid(case.logits0, compact_z, "baseline and compact logits")
     require_same_grid(case.logits0, diffuse_z, "baseline and diffuse logits")
-    core = sigmoid(case.logits0).data > cfg.core_threshold
+    core = sigmoid(case.logits0).data > CORE_THRESHOLD
     delta = sigmoid(diffuse_z).data > 0.5
     delta &= ~core
     core_voxels, delta_voxels = int(np.count_nonzero(core)), int(np.count_nonzero(delta))
@@ -77,9 +66,9 @@ def select(
             core_voxels=core_voxels,
             delta_voxels=delta_voxels,
         )
-    per_channel = [_channel_score(ch, core, delta, cfg.gamma, cfg.eps) for ch in case.image]
+    per_channel = [_channel_score(ch, core, delta) for ch in case.image]
     score, mu_core, sigma_core, mu_delta = min(per_channel, key=lambda t: t[0])
-    chosen = "diffuse" if score > cfg.accept_threshold else "compact"
+    chosen = "diffuse" if score > ACCEPT_THRESHOLD else "compact"
     return SelectionResult(
         chosen=chosen,
         texture_score=score,

@@ -115,8 +115,6 @@ _BOUNDS = {
     ">= 0": lambda x: x >= 0,
     ">= 1": lambda x: x >= 1,
     "> 0": lambda x: x > 0,
-    "in [0, 1]": lambda x: 0 <= x <= 1,
-    "in [0, 1)": lambda x: 0 <= x < 1,
 }
 _INVALID = object()
 

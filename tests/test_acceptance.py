@@ -19,11 +19,16 @@ and 0 outside the band; ``no_edge_map`` leaks 0.  The band sits above the
 front-mobility threshold (docs/phantoms.md, fact 2), so inflation alone can
 flip it.  With the map, the low weight at the band's outer edge stops the
 boundary term from eroding the band; with g == 1 the lambda_geo = 50 boundary
-term erodes it from its edges and nothing gets past the shell.  The test fails
-if full mode is given the all-ones map (nothing is recruited) or the inverted
-map 1 - g (too little is recruited).
+term erodes it from its edges and nothing gets past the shell.  The check fails
+if full mode is given the all-ones map or the inverted map 1 - g: neither
+recruits a band voxel past the shell, and seeded-bug tests below show both.
+
+The criteria's checks that a seeded bug must trip are helpers, which both the
+criterion and its seeded-bug test call, with the bug planted through a module
+constant or a patched function.
 """
 
+import functools
 import time
 from typing import NamedTuple
 
@@ -31,11 +36,10 @@ import numpy as np
 import pytest
 
 import oracles
-from segtta import gradcheck, losses, metrics, optim, phantom, pipeline
+from segtta import gatekeeper, gradcheck, losses, metrics, optim, phantom, pipeline, selector
 from segtta.cli import main as cli_main
 from segtta.fileio import read_volume, write_volume
-from segtta.gatekeeper import GateThresholds, gate
-from segtta.selector import SelectorConfig
+from segtta.gatekeeper import gate
 from segtta.volume import Mask, Volume, sigmoid, threshold
 
 
@@ -69,55 +73,122 @@ class TestCriterion1Gradients:
         )
 
 
+#: Criterion 2's values: each fixed module constant, and each loss weight
+#: and optimizer setting by its config class's default.
+PAPER_VALUES = {
+    "losses.CompactWeights.lambda_ent": 10.0,
+    "losses.CompactWeights.lambda_tv": 0.5,
+    "losses.CompactWeights.lambda_grav": 50.0,
+    "losses.CompactWeights.lambda_anc": 50.0,
+    "losses.DiffuseWeights.lambda_ent": 2.0,
+    "losses.DiffuseWeights.lambda_geo": 50.0,
+    "losses.DiffuseWeights.lambda_inf": 5.0,
+    "losses.DiffuseWeights.lambda_anc": 0.1,
+    "gatekeeper.VOL_MIN": 300,
+    "gatekeeper.UNC_LO": 0.3,
+    "gatekeeper.UNC_HI": 0.7,
+    "gatekeeper.UNC_MAX": 0.05,
+    "selector.GAMMA": 1.5,
+    "selector.CORE_THRESHOLD": 0.8,
+    "selector.ACCEPT_THRESHOLD": 0.95,
+    "selector.EPS": 1e-6,
+    "losses.EDGE_SIGMA_MM": 1.0,
+    "losses.EDGE_ALPHA": 10.0,
+    "optim.OptimizerProtocol.lr": 0.1,
+    "optim.OptimizerProtocol.steps": 1000,
+    "optim.BETA1": 0.9,
+    "optim.BETA2": 0.999,
+    "optim.EPS_ADAM": 1e-8,
+}
+
+MODULES = {"gatekeeper": gatekeeper, "losses": losses, "optim": optim, "selector": selector}
+
+
+def paper_values():
+    """The values that :data:`PAPER_VALUES` names, as the code reads them."""
+    values = {}
+    for name in PAPER_VALUES:
+        module, *path = name.split(".")
+        owner = MODULES[module]
+        if len(path) == 2:  # a config class's default
+            owner = getattr(owner, path[0])()
+        values[name] = getattr(owner, path[-1])
+    return values
+
+
+def paper_constants_pinned():
+    """Criterion 2's check: (ok, detail)."""
+    return (paper_values() == PAPER_VALUES,
+            "(compact 10/0.5/50/50, diffuse 2/50/5/0.1, gate 300/0.3-0.7/5%, "
+            "selector 1.5/0.8/0.95/1e-6, edge map 1 mm/10, "
+            "adam 0.1x1000 at 0.9/0.999/1e-8)")
+
+
 class TestCriterion2PaperConstants:
     def test_config_snapshot(self):
-        compact = losses.CompactWeights()
-        diffuse = losses.DiffuseWeights()
-        gate_t = GateThresholds()
-        sel = SelectorConfig()
-        proto = optim.OptimizerProtocol()
-        ok = (
-            (compact.lambda_ent, compact.lambda_tv, compact.lambda_grav, compact.lambda_anc)
-            == (10.0, 0.5, 50.0, 50.0)
-            and (diffuse.lambda_ent, diffuse.lambda_geo, diffuse.lambda_inf, diffuse.lambda_anc)
-            == (2.0, 50.0, 5.0, 0.1)
-            and (gate_t.vol_min, gate_t.unc_lo, gate_t.unc_hi, gate_t.unc_max)
-            == (300, 0.3, 0.7, 0.05)
-            and (sel.gamma, sel.core_threshold, sel.accept_threshold) == (1.5, 0.8, 0.95)
-            and (proto.lr, proto.steps) == (0.1, 1000)
-        )
-        report_line(2, ok, "(compact 10/0.5/50/50, diffuse 2/50/5/0.1, gate 300/0.3-0.7/5%, "
-                           "selector 1.5/0.8/0.95, adam 0.1x1000)")
+        report_line(2, *paper_constants_pinned())
+
+    @pytest.mark.parametrize("name", PAPER_VALUES)
+    def test_seeded_bug_changed_value_fails(self, name, monkeypatch):
+        # each value doubled in turn, the constant through its module and the
+        # default through a class that sets it
+        value = 2 * PAPER_VALUES[name]
+        module, *path = name.split(".")
+        owner = MODULES[module]
+        if len(path) == 2:
+            monkeypatch.setattr(owner, path[0],
+                                functools.partial(getattr(owner, path[0]), **{path[1]: value}))
+        else:
+            monkeypatch.setattr(owner, path[0], value)
+        assert paper_values()[name] == value
+        ok, detail = paper_constants_pinned()
+        assert not ok, detail
+
+
+HIGH_SHIFT_TEMPLATE = [
+    ("clean_confident", 1),
+    ("fragmented_small", 50),
+    ("under_segmented_matched", 25),
+    ("noise_island", 24),
+]
+
+
+@pytest.fixture(scope="module")
+def high_shift_cohort():
+    return phantom.cohort(phantom.mixed_cohort_specs(HIGH_SHIFT_TEMPLATE, base_seed=500))
+
+
+def flags_match_engineering(cohort, rate_expected, label):
+    """Criterion 3's check on a cohort: (ok, detail)."""
+    observed = [gate(sigmoid(g.case.logits0)).flagged for g in cohort]
+    engineered = [g.annotations.expected_flagged for g in cohort]
+    rate = sum(observed) / len(observed)
+    return (
+        observed == engineered and rate == rate_expected,
+        f"({len(cohort)}-case {label} cohort, flag rate {rate:.2%}, set match exact)",
+    )
 
 
 class TestCriterion3Gatekeeper:
     def test_flagged_set_matches_engineering_at_25_percent(self, mixed_cohort):
-        verdicts = [gate(sigmoid(g.case.logits0)) for g in mixed_cohort]
-        engineered = [g.annotations.expected_flagged for g in mixed_cohort]
-        observed = [v.flagged for v in verdicts]
-        rate = sum(observed) / len(observed)
-        report_line(
-            3,
-            observed == engineered and rate == 0.25,
-            f"(40-case mixed cohort, flag rate {rate:.2%}, set match exact)",
-        )
+        report_line(3, *flags_match_engineering(mixed_cohort, 0.25, "mixed"))
 
-    def test_high_shift_cohort_at_99_percent(self):
-        template = [
-            ("clean_confident", 1),
-            ("fragmented_small", 50),
-            ("under_segmented_matched", 25),
-            ("noise_island", 24),
-        ]
-        cohort = phantom.cohort(phantom.mixed_cohort_specs(template, base_seed=500))
-        observed = [gate(sigmoid(g.case.logits0)).flagged for g in cohort]
-        engineered = [g.annotations.expected_flagged for g in cohort]
-        rate = sum(observed) / len(observed)
-        report_line(
-            3,
-            observed == engineered and rate == 0.99,
-            f"(100-case shifted cohort, flag rate {rate:.2%}, set match exact)",
-        )
+    def test_high_shift_cohort_at_99_percent(self, high_shift_cohort):
+        report_line(3, *flags_match_engineering(high_shift_cohort, 0.99, "shifted"))
+
+    # the shifted cohort holds both triggers' cases (50 small, 49 uncertain);
+    # the mixed one has no small-volume case, so VOL_MIN = 0 passes it
+    @pytest.mark.parametrize("name, value", [
+        ("VOL_MIN", 0),          # small-volume trigger off
+        ("VOL_MIN", 10**9),      # every case flagged
+        ("UNC_MAX", 1.0),        # uncertainty trigger off
+        ("UNC_LO", 0.7),         # empty band
+        ("UNC_HI", 0.3),         # empty band
+    ])
+    def test_seeded_bug_gate_constant_fails(self, high_shift_cohort, name, value, monkeypatch):
+        monkeypatch.setattr(gatekeeper, name, value)
+        ok, detail = flags_match_engineering(high_shift_cohort, 0.99, "shifted")
+        assert not ok, detail
 
 
 class TestCriterion4CompactMechanism:
@@ -156,38 +227,68 @@ class TestCriterion5DiffuseMechanism:
     def test_mismatched_rims_revert_to_compact(self, mixed_cohort, mixed_full_reports):
         rows = by_scenario(mixed_cohort, mixed_full_reports, "under_segmented_mismatched")
         assert len(rows) == 2
-        ok = all(
-            rep.mask_source == "compact" and rep.selection.texture_score < 0.95
-            for _, rep in rows
-        )
-        scores = ", ".join(f"{rep.selection.texture_score:.2e}" for _, rep in rows)
-        report_line(5, ok, f"(mismatched: compact chosen on all, scores {scores})")
+        report_line(5, *mismatched_rims_revert(rows))
+
+    def test_seeded_bug_accepting_every_score_fails(self, mixed_cohort, monkeypatch):
+        # every texture score exceeds -1, so diffuse wins on the mismatched
+        # rims that the criterion must see revert to compact
+        monkeypatch.setattr(selector, "ACCEPT_THRESHOLD", -1.0)
+        gens = [g for g in mixed_cohort if g.annotations.scenario == "under_segmented_mismatched"]
+        reports = pipeline.run_modes([g.case for g in gens], ["full"])["full"]
+        ok, detail = mismatched_rims_revert(list(zip(gens, reports)))
+        assert not ok, detail
+        assert [rep.mask_source for rep in reports] == ["diffuse"] * len(gens)
+
+
+def mismatched_rims_revert(rows):
+    """Criterion 5's check on the mismatched-rim rows: (ok, detail)."""
+    ok = all(
+        rep.mask_source == "compact" and rep.selection.texture_score < 0.95
+        for _, rep in rows
+    )
+    scores = ", ".join(f"{rep.selection.texture_score:.2e}" for _, rep in rows)
+    return ok, f"(mismatched: compact chosen on all, scores {scores})"
 
 
 class TestCriterion6NegativeTransferPrevention:
     def test_gate_skip_identity_and_forced_adaptation_degrades(
         self, clean_cohort, clean_full_reports, clean_no_gatekeeper_reports
     ):
-        identical = all(
-            np.array_equal(rep.final_mask.data, baseline_mask(g.case).data)
-            for g, rep in zip(clean_cohort, clean_full_reports)
-        )
-        full_dice = [
-            metrics.dice(rep.final_mask, g.gt)
-            for g, rep in zip(clean_cohort, clean_full_reports)
-        ]
-        forced_dice = [
-            metrics.dice(rep.final_mask, g.gt)
-            for g, rep in zip(clean_cohort, clean_no_gatekeeper_reports)
-        ]
-        per_case = all(f <= b for f, b in zip(forced_dice, full_dice))
-        strict_mean = float(np.mean(forced_dice)) < float(np.mean(full_dice))
-        report_line(
-            6,
-            identical and per_case and strict_mean,
-            f"(gate-skip bit-identical; mean dice {np.mean(full_dice):.4f} -> "
-            f"{np.mean(forced_dice):.4f} under forced adaptation)",
-        )
+        report_line(6, *gate_skip_protects(clean_cohort, clean_full_reports,
+                                           clean_no_gatekeeper_reports))
+
+    def test_seeded_bug_flagging_every_case_fails(
+        self, clean_cohort, clean_no_gatekeeper_reports, monkeypatch
+    ):
+        # a gate that flags every case makes full mode no_gatekeeper: the two
+        # rows differ only in the gate, so no_gatekeeper's reports stand in
+        # for full mode's 1000-step run
+        monkeypatch.setattr(gatekeeper, "VOL_MIN", 10**9)
+        table = pipeline.MODE_TABLE
+        assert table["full"]._replace(gated=False) == table["no_gatekeeper"]
+        short = pipeline.PipelineConfig(protocol=optim.OptimizerProtocol(steps=0))
+        reports = pipeline.run_modes([g.case for g in clean_cohort], ["full"], short)["full"]
+        assert all(rep.gate.flagged and rep.mask_source != "baseline" for rep in reports)
+        ok, detail = gate_skip_protects(clean_cohort, clean_no_gatekeeper_reports,
+                                        clean_no_gatekeeper_reports)
+        assert not ok, detail
+
+
+def gate_skip_protects(cohort, full_reports, forced_reports):
+    """Criterion 6's check on a clean cohort: (ok, detail)."""
+    identical = all(
+        np.array_equal(rep.final_mask.data, baseline_mask(g.case).data)
+        for g, rep in zip(cohort, full_reports)
+    )
+    full_dice = [metrics.dice(rep.final_mask, g.gt) for g, rep in zip(cohort, full_reports)]
+    forced_dice = [metrics.dice(rep.final_mask, g.gt) for g, rep in zip(cohort, forced_reports)]
+    per_case = all(f <= b for f, b in zip(forced_dice, full_dice))
+    strict_mean = float(np.mean(forced_dice)) < float(np.mean(full_dice))
+    return (
+        identical and per_case and strict_mean,
+        f"(gate-skip bit-identical; mean dice {np.mean(full_dice):.4f} -> "
+        f"{np.mean(forced_dice):.4f} under forced adaptation)",
+    )
 
 
 class TestCriterion7AblationOrdering:
@@ -240,6 +341,17 @@ class ShellLeak(NamedTuple):
         return self.in_band + self.out_of_band
 
 
+class ShellRefinements(NamedTuple):
+    """The shell case, its leak counter, and the leaks of its refinements
+    with the edge map and with g == 1."""
+
+    case: object
+    past_shell: object  # RefinementTrace -> ShellLeak
+    edge: ShellLeak
+    noedge: ShellLeak
+    band_past_shell: int  # band voxels past the shell
+
+
 @pytest.fixture(scope="module")
 def shell_refinements():
     spec = phantom.scenario_spec(
@@ -256,7 +368,7 @@ def shell_refinements():
     )
     case, gt, ann = phantom.generate(spec)
     with_edge = optim.refine(case, "diffuse")
-    no_edge = optim.refine(case, "diffuse", edge_cfg=None)
+    no_edge = optim.refine(case, "diffuse", edge_map=False)
     beyond, band = ann.beyond_shell.data, ann.leak_band.data
 
     def past_shell(trace):
@@ -266,34 +378,60 @@ def shell_refinements():
             out_of_band=int(np.count_nonzero(mask & ~band)),
         )
 
-    return past_shell(with_edge), past_shell(no_edge), int(np.count_nonzero(beyond & band))
+    return ShellRefinements(case, past_shell, past_shell(with_edge), past_shell(no_edge),
+                            int(np.count_nonzero(beyond & band)))
+
+
+MAX_OUT_OF_BAND = 0  # full-mode foreground past the shell outside the band
+MIN_BAND_RECRUITED = 0.5  # share of the past-shell band full mode recruits
+
+
+def edge_map_guardrail(edge, noedge, band_past_shell):
+    """Criterion 8's check on the leaks past the shell with the edge map and
+    with g == 1: (ok, detail)."""
+    contained = edge.out_of_band <= MAX_OUT_OF_BAND
+    recruited = edge.in_band >= MIN_BAND_RECRUITED * band_past_shell
+    ok = contained and recruited and noedge.total <= edge.total
+    return ok, (
+        f"(past the shell: full-mode {edge.in_band} of {band_past_shell} band voxels "
+        f"and {edge.out_of_band} outside the band, no_edge_map {noedge.total}; "
+        "the band is inflation-mobile and the map's low weight at its outer edge "
+        "keeps the boundary term from eroding it)"
+    )
 
 
 class TestCriterion8EdgeMapGuardrail:
     """The edge map's guardrail against the no_edge_map ablation; see the
     module docstring."""
 
-    MAX_OUT_OF_BAND = 0  # full-mode foreground past the shell outside the band
-    MIN_BAND_RECRUITED = 0.5  # share of the past-shell band full mode recruits
-
     def test_no_edge_map_leaks_at_least_twice_as_much(self, shell_refinements):
-        edge, noedge, band_past_shell = shell_refinements
-        contained = edge.out_of_band <= self.MAX_OUT_OF_BAND
-        recruited = edge.in_band >= self.MIN_BAND_RECRUITED * band_past_shell
-        ok = contained and recruited and noedge.total <= edge.total
-        report_line(
-            8,
-            ok,
-            f"(past the shell: full-mode {edge.in_band} of {band_past_shell} band voxels "
-            f"and {edge.out_of_band} outside the band, no_edge_map {noedge.total}; "
-            "the band is inflation-mobile and the map's low weight at its outer edge "
-            "keeps the boundary term from eroding it)",
-        )
+        sh = shell_refinements
+        report_line(8, *edge_map_guardrail(sh.edge, sh.noedge, sh.band_past_shell))
+
+    def test_seeded_bug_all_ones_map_fails(self, shell_refinements):
+        # full mode given g == 1 is the no_edge refinement bit for bit
+        # (test_optim's test_no_edge_map_is_an_all_ones_edge_map)
+        sh = shell_refinements
+        ok, detail = edge_map_guardrail(sh.noedge, sh.noedge, sh.band_past_shell)
+        assert not ok and sh.noedge.in_band == 0, detail
+
+    def test_seeded_bug_inverted_map_fails(self, shell_refinements, monkeypatch):
+        sh = shell_refinements
+        edge_map = losses.edge_map
+
+        def inverted_map(channels):
+            g = edge_map(channels)
+            return g.with_data(1.0 - g.data)
+
+        monkeypatch.setattr(losses, "edge_map", inverted_map)
+        inverted = sh.past_shell(optim.refine(sh.case, "diffuse"))
+        ok, detail = edge_map_guardrail(inverted, sh.noedge, sh.band_past_shell)
+        assert not ok, detail
 
     def test_companion_guardrail_direction_that_does_hold(self, shell_refinements):
         # forcing g to 1 lets the boundary term erode the band from its edges,
         # so nothing gets past the shell
-        edge, noedge, _ = shell_refinements
+        edge, noedge = shell_refinements.edge, shell_refinements.noedge
         report_line(
             "8-companion",
             noedge.total == 0,

@@ -369,8 +369,9 @@ class TestReportSerialization:
         cfg = payload["config"]
         assert cfg["compact"]["lambda_grav"] == 50.0
         assert cfg["protocol"]["steps"] == 25
-        assert cfg["gate"]["vol_min"] == 300
-        assert payload["schema_version"] == 1
+        assert set(cfg) == {"mode", "compact", "diffuse", "protocol", "parallel_hypotheses"}
+        assert set(cfg["protocol"]) == {"lr", "steps"}
+        assert payload["schema_version"] == 2
 
     def test_timings_excluded_on_request(self, report):
         with_t = json.loads(fileio.dumps_report(report, include_timings=True))

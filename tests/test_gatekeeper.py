@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segtta.gatekeeper import GateThresholds, gate
+from segtta import gatekeeper
+from segtta.gatekeeper import GateVerdict, gate
 from segtta.volume import Volume
 
 
@@ -52,6 +53,30 @@ class TestGateTriggers:
         assert verdict.uncertainty_ratio == 0.0
         assert verdict.predicted_volume_voxels == 0
 
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (16, 16, 16)])
+    @pytest.mark.parametrize("level", [0.0, 0.3, 0.45, 0.5])
+    def test_every_empty_prediction_is_small_volume(self, level, dims):
+        # nothing above 0.5, band values and 0.5 itself included: the ratio
+        # is 0 and the case is flagged as 0 < VOL_MIN
+        verdict = gate(Volume(np.full(dims, level), (1, 1, 1)))
+        assert verdict == GateVerdict(True, 0, 0.0, "small_volume")
+
+
+class TestConstantsReadAtCallTime:
+    # 300 confident and 15 band voxels: ratio 15/315 under UNC_MAX, unflagged
+    @pytest.mark.parametrize("name, value, field, expected", [
+        ("VOL_MIN", 400, "trigger", "small_volume"),
+        ("UNC_LO", 0.65, "uncertainty_ratio", 0.0),   # the band voxels sit at 0.6
+        ("UNC_HI", 0.55, "uncertainty_ratio", 0.0),
+        ("UNC_MAX", 0.04, "trigger", "high_uncertainty"),
+    ], ids=["VOL_MIN", "UNC_LO", "UNC_HI", "UNC_MAX"])
+    def test_patched_constant_moves_the_verdict(self, name, value, field, expected, monkeypatch):
+        v = prob_volume(300, 15)
+        base = gate(v)
+        assert base.trigger == "none" and base.uncertainty_ratio == 15 / 315
+        monkeypatch.setattr(gatekeeper, name, value)
+        assert getattr(gate(v), field) == expected
+
 
 class TestGateProperties:
     @given(st.integers(min_value=300, max_value=2000))
@@ -73,19 +98,10 @@ class TestGateProperties:
         assert base.uncertainty_ratio == varied.uncertainty_ratio
         assert base.predicted_volume_voxels == varied.predicted_volume_voxels
 
-    def test_custom_thresholds(self):
-        verdict = gate(prob_volume(500, 0), GateThresholds(vol_min=501))
+    def test_custom_thresholds(self, monkeypatch):
+        monkeypatch.setattr(gatekeeper, "VOL_MIN", 501)
+        verdict = gate(prob_volume(500, 0))
         assert verdict.flagged and verdict.trigger == "small_volume"
-
-    # vol_min=inf would flag every case, and True would read as 1
-    @pytest.mark.parametrize("vol_min", [float("inf"), float("nan"), True, 300.5, -1],
-                             ids=["inf", "nan", "bool", "fraction", "negative"])
-    def test_vol_min_must_be_an_integer(self, vol_min):
-        with pytest.raises(ValueError, match="vol_min must be an integer >= 0"):
-            GateThresholds(vol_min=vol_min)
-
-    def test_numpy_integer_vol_min_accepted(self):
-        assert GateThresholds(vol_min=np.int64(12)).vol_min == 12
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=30, deadline=None)

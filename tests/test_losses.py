@@ -187,21 +187,37 @@ class TestEdgeMap:
         ((6, 6, 6), SPACING, 1, True),         # constant image: p99 = 0
         ((6, 5, 4), SPACING, 2, True),
     ])
-    @pytest.mark.parametrize("cfg", [losses.EdgeMapConfig(), losses.EdgeMapConfig(0.0, 3.0)])
-    def test_matches_the_full_temporary_oracle(self, dims, spacing, channels, constant, cfg):
+    # (EDGE_SIGMA_MM, EDGE_ALPHA): the constants, then no smoothing at another alpha
+    @pytest.mark.parametrize("cfg", [(losses.EDGE_SIGMA_MM, losses.EDGE_ALPHA), (0.0, 3.0)])
+    def test_matches_the_full_temporary_oracle(self, dims, spacing, channels, constant, cfg,
+                                               monkeypatch):
         rng = np.random.default_rng(sum(dims) + channels)
         image = [vol(np.full(dims, 2.5 + c) if constant else rng.normal(scale=30.0, size=dims),
                      spacing) for c in range(channels)]
-        got = losses.edge_map(image, cfg)
-        expected = oracles.edge_map(image, cfg.sigma_mm, cfg.alpha)
+        monkeypatch.setattr(losses, "EDGE_SIGMA_MM", cfg[0])
+        monkeypatch.setattr(losses, "EDGE_ALPHA", cfg[1])
+        got = losses.edge_map(image)
+        expected = oracles.edge_map(image, *cfg)
         assert got.data.shape == dims and got.data.tobytes() == expected.tobytes()
 
-    def test_a_bright_voxel_over_a_zero_percentile_is_ignored(self):
+    @pytest.mark.parametrize("name, value", [("EDGE_SIGMA_MM", 2.0), ("EDGE_ALPHA", 20.0)])
+    def test_each_constant_is_read_at_call_time(self, name, value, monkeypatch):
+        arr = np.zeros((12, 8, 8))
+        arr[6:] = 1.0
+        image = [vol(arr)]
+        base = losses.edge_map(image).data
+        monkeypatch.setattr(losses, name, value)
+        got = losses.edge_map(image).data
+        params = dict(sigma_mm=losses.EDGE_SIGMA_MM, alpha=losses.EDGE_ALPHA)
+        assert got.tobytes() == oracles.edge_map(image, **params).tobytes()
+        assert not np.array_equal(got, base)
+
+    def test_a_bright_voxel_over_a_zero_percentile_is_ignored(self, monkeypatch):
         # p99 = 0 while one voxel has a nonzero gradient: norm is all zero
         arr = np.zeros((10, 10, 10))
         arr[5, 5, 5] = 1.0
-        cfg = losses.EdgeMapConfig(sigma_mm=0.0)
-        got = losses.edge_map([vol(arr, (1, 1, 1))], cfg)
+        monkeypatch.setattr(losses, "EDGE_SIGMA_MM", 0.0)
+        got = losses.edge_map([vol(arr, (1, 1, 1))])
         assert np.all(got.data == 1.0)
         assert got.data.tobytes() == oracles.edge_map([vol(arr, (1, 1, 1))], 0.0, 10.0).tobytes()
 

@@ -12,23 +12,25 @@ from segtta.volume import Case, Volume, sigmoid, threshold
 
 def textbook_adam(m, v, t, z, grad, pr):
     """Out-of-place textbook Adam, on normalised moments."""
+    b1, b2, eps = optim.BETA1, optim.BETA2, optim.EPS_ADAM
     t += 1
-    m = pr.beta1 * m + (1.0 - pr.beta1) * grad
-    v = pr.beta2 * v + (1.0 - pr.beta2) * grad * grad
-    m_hat = m / (1.0 - pr.beta1**t)
-    v_hat = v / (1.0 - pr.beta2**t)
-    return m, v, t, z - pr.lr * m_hat / (np.sqrt(v_hat) + pr.eps_adam)
+    m = b1 * m + (1.0 - b1) * grad
+    v = b2 * v + (1.0 - b2) * grad * grad
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    return m, v, t, z - pr.lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def unnormalised_adam(m, v, t, z, grad, pr):
     """Out-of-place Adam on unnormalised moments, the reference the in-place
     update must match bit for bit."""
+    b1, b2, eps = optim.BETA1, optim.BETA2, optim.EPS_ADAM
     t += 1
-    m = pr.beta1 * m + grad
-    v = pr.beta2 * v + grad * grad
-    s = math.sqrt((1.0 - pr.beta2) / (1.0 - pr.beta2**t))
-    k = pr.lr * (1.0 - pr.beta1) / (1.0 - pr.beta1**t) / s
-    return m, v, t, z - m / (np.sqrt(v) + pr.eps_adam / s) * k
+    m = b1 * m + grad
+    v = b2 * v + grad * grad
+    s = math.sqrt((1.0 - b2) / (1.0 - b2**t))
+    k = pr.lr * (1.0 - b1) / (1.0 - b1**t) / s
+    return m, v, t, z - m / (np.sqrt(v) + eps / s) * k
 
 
 def spanning_gradients(rng, shape, steps=10):
@@ -126,12 +128,31 @@ class TestAdamStep:
             state, z = adam_step(state, z, grad)
             assert np.abs(z - z_ref).max() <= 2e-15
 
-    # an infinite eps_adam makes every step 0, so the "refined" mask would be
-    # the baseline
-    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1e-8])
-    def test_eps_adam_must_be_finite_and_positive(self, value):
-        with pytest.raises(ValueError, match="eps_adam must be finite and > 0"):
-            OptimizerProtocol(eps_adam=value)
+    @pytest.mark.parametrize("name, value", [("BETA1", 0.5), ("BETA2", 0.9), ("EPS_ADAM", 1.0)])
+    def test_each_constant_is_read_at_call_time(self, name, value, monkeypatch):
+        # the betas move the update only from step 2 on, so three steps run;
+        # the in-place form keeps matching the reference under the patch
+        shape, pr = (4, 3, 3), OptimizerProtocol()
+        grads = spanning_gradients(np.random.default_rng(5), shape, steps=3)
+
+        def in_place():
+            state, z = AdamState.fresh(shape, pr), np.zeros(shape)
+            for g in grads:
+                state, z = adam_step(state, z, g.copy())
+            return z
+
+        def reference():
+            m = v = z = np.zeros(shape)
+            t = 0
+            for g in grads:
+                m, v, t, z = unnormalised_adam(m, v, t, z, g, pr)
+            return z
+
+        base = in_place()
+        monkeypatch.setattr(optim, name, value)
+        got = in_place()
+        assert got.tobytes() == reference().tobytes()
+        assert not np.array_equal(got, base)
 
     def test_second_moment_nonnegative(self):
         rng = np.random.default_rng(5)
@@ -205,12 +226,12 @@ class TestRefine:
         trace = refine(case, "diffuse", weights=weights, protocol=OptimizerProtocol(steps=1))
         assert sigmoid(trace.final_z).data.mean() > 0.5
 
-    def test_no_edge_cfg_is_an_all_ones_edge_map(self, monkeypatch):
+    def test_no_edge_map_is_an_all_ones_edge_map(self, monkeypatch):
         case = small_case(seed=2)
         proto = OptimizerProtocol(steps=15)
-        unit = refine(case, "diffuse", protocol=proto, edge_cfg=None)
+        unit = refine(case, "diffuse", protocol=proto, edge_map=False)
         monkeypatch.setattr(losses, "edge_map",
-                            lambda image, cfg: Volume(np.ones(case.logits0.dims), case.spacing))
+                            lambda image: Volume(np.ones(case.logits0.dims), case.spacing))
         ones = refine(case, "diffuse", protocol=proto)
         assert unit.final_z.data.tobytes() == ones.final_z.data.tobytes()
         assert unit.loss_values == ones.loss_values
@@ -243,8 +264,8 @@ PINNED_LOSSES = {
 def test_refinement_keeps_its_pinned_bits(use_slabs, name, planes):
     case = small_case(seed=4, dims=(7, 6, 5))
     use_slabs(case.logits0.dims, planes)
-    kw = {"edge_cfg": None} if name == "diffuse_g1" else {}
-    trace = refine(case, name.removesuffix("_g1"), protocol=OptimizerProtocol(steps=60), **kw)
+    trace = refine(case, name.removesuffix("_g1"), protocol=OptimizerProtocol(steps=60),
+                   edge_map=name != "diffuse_g1")
     assert trace.loss_steps == (0, 50, 60)
     assert hashlib.sha256(trace.final_z.data.tobytes()).hexdigest() == PINNED_FINAL_Z[name]
     losses_bytes = np.array(trace.loss_values).tobytes()

@@ -3,14 +3,16 @@
 
 import inspect
 
+import pytest
+
 import segtta
+from segtta import gatekeeper, losses, selector
 
 PUBLIC_NAMES = [
-    "AdamState", "Case", "CohortStats", "CompactWeights", "DiffuseWeights", "EdgeMapConfig",
-    "GateThresholds", "GateVerdict", "GeneratedPhantom", "LossTermResult", "MODES", "Mask",
-    "MetricSet", "NumericalFailure", "OptimizerProtocol", "PhantomAnnotations", "PhantomSpec",
-    "PipelineConfig", "RefinementTrace", "RunReport", "SelectionResult", "SelectorConfig",
-    "Volume", "WilcoxonResult", "adam_step", "aggregate", "anchor_term", "cohort", "dice",
+    "AdamState", "Case", "CohortStats", "CompactWeights", "DiffuseWeights", "GateVerdict",
+    "GeneratedPhantom", "LossTermResult", "MODES", "Mask", "MetricSet", "NumericalFailure",
+    "OptimizerProtocol", "PhantomAnnotations", "PhantomSpec", "PipelineConfig",
+    "RefinementTrace", "RunReport", "SelectionResult", "Volume", "WilcoxonResult", "adam_step", "aggregate", "anchor_term", "cohort", "dice",
     "edge_map", "entropy_term", "gate", "generate", "geodesic_term", "gravity_term", "hd95",
     "inflation_term", "precision", "refine", "run_case", "run_cohort", "run_modes",
     "scenario_spec", "select", "sigmoid", "threshold", "tv_term", "wilcoxon_holm",
@@ -23,3 +25,28 @@ def test_public_names_are_pinned():
     names = sorted(name for name, value in vars(segtta).items()
                    if not name.startswith("_") and not inspect.ismodule(value))
     assert names == PUBLIC_NAMES
+
+
+# The calls whose settings are the paper's fixed module constants take no
+# config argument; a dropped parameter or field shows here first.
+SIGNATURES = {
+    "gate": ["p0"],
+    "select": ["case", "compact_z", "diffuse_z"],
+    "edge_map": ["channels"],
+    "refine": ["case", "hypothesis", "weights", "protocol", "edge_map"],
+    "adam_step": ["state", "z", "grad"],
+    "OptimizerProtocol": ["lr", "steps"],
+    "PipelineConfig": ["mode", "compact", "diffuse", "protocol", "parallel_hypotheses"],
+}
+
+
+@pytest.mark.parametrize("name", SIGNATURES)
+def test_parameters_are_pinned(name):
+    assert list(inspect.signature(getattr(segtta, name)).parameters) == SIGNATURES[name]
+
+
+@pytest.mark.parametrize("module, name", [
+    (gatekeeper, "GateThresholds"), (selector, "SelectorConfig"), (losses, "EdgeMapConfig"),
+], ids=lambda x: x if isinstance(x, str) else x.__name__.rsplit(".", 1)[-1])
+def test_constant_config_classes_are_gone(module, name):
+    assert not hasattr(module, name)

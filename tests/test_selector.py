@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from segtta.selector import SelectorConfig, _channel_score, select
+from segtta import selector
+from segtta.selector import _channel_score, select
 from segtta.volume import Case, Volume
 
 SPACING = (1.0, 1.0, 1.0)
@@ -43,18 +44,18 @@ class TestChannelScore:
 
     def test_constant_field(self):
         ch = Volume(np.full(DIMS, 7.0), SPACING)
-        assert _channel_score(ch, CORE, DELTA, 1.5, 1e-6) == (1.0, 7.0, 0.0, 7.0)
+        assert _channel_score(ch, CORE, DELTA) == (1.0, 7.0, 0.0, 7.0)
 
     def test_population_std(self):
         both = np.ones((2, 1, 1), dtype=bool)
         ch = Volume(np.array([1.0, 3.0]).reshape(2, 1, 1), SPACING)
-        _, mu_core, sigma_core, mu_delta = _channel_score(ch, both, both, 1.5, 1e-6)
+        _, mu_core, sigma_core, mu_delta = _channel_score(ch, both, both)
         assert (mu_core, sigma_core, mu_delta) == (2.0, 1.0, 2.0)
 
     def test_full_region_equals_global_stats(self):
         arr = np.random.default_rng(1).normal(size=(4, 3, 2))
         full = np.ones(arr.shape, dtype=bool)
-        _, mu_core, sigma_core, _ = _channel_score(Volume(arr, SPACING), full, full, 1.5, 1e-6)
+        _, mu_core, sigma_core, _ = _channel_score(Volume(arr, SPACING), full, full)
         assert mu_core == pytest.approx(arr.mean(), abs=1e-12)
         assert sigma_core == pytest.approx(arr.std(), abs=1e-12)
 
@@ -118,12 +119,12 @@ class TestSelect:
         assert result.core_voxels == 0
         assert result.texture_score is None
 
-    def test_core_threshold_is_strict(self):
+    def test_core_threshold_is_strict(self, monkeypatch):
         # logits 0 give P0 = 0.5 exactly: no core at threshold 0.5, so every
         # voxel of the diffuse mask counts as recruited
+        monkeypatch.setattr(selector, "CORE_THRESHOLD", 0.5)
         case = Case(image=(intensity_channel(),), logits0=Volume(np.zeros(DIMS), SPACING))
-        result = select(case, logits_for(CORE), logits_for(CORE | DELTA),
-                        SelectorConfig(core_threshold=0.5))
+        result = select(case, logits_for(CORE), logits_for(CORE | DELTA))
         assert (result.core_voxels, result.delta_voxels) == (0, (CORE | DELTA).sum())
         assert result.chosen == "compact" and result.texture_score is None
 
@@ -150,21 +151,30 @@ class TestSelect:
         r2 = select(case, logits_for(CORE), logits_for(CORE | DELTA))
         assert r1 == r2
 
-    def test_acceptance_threshold_is_strict(self):
+    def test_acceptance_threshold_is_strict(self, monkeypatch):
+        monkeypatch.setattr(selector, "ACCEPT_THRESHOLD", 1.0)  # score can never exceed 1
         case = make_case([intensity_channel(delta_offset_sigma=0.0)])
-        cfg = SelectorConfig(accept_threshold=1.0)  # score can never exceed 1
-        result = select(case, logits_for(CORE), logits_for(CORE | DELTA), cfg)
+        result = select(case, logits_for(CORE), logits_for(CORE | DELTA))
         assert result.chosen == "compact"
 
 
-class TestSelectorConfig:
-    # an infinite gamma or eps makes every texture score 1, so the selector
-    # would accept diffuse every time
-    @pytest.mark.parametrize("field", ["gamma", "eps"])
-    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0, 0.0])
-    def test_non_finite_or_non_positive_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
-            SelectorConfig(**{field: value})
+class TestConstantsReadAtCallTime:
+    # a delta 0.3 sigma off the core: score exp(-0.5 (0.3 / 1.5)^2) ~ 0.980,
+    # diffuse accepted at the paper's constants
+    @pytest.mark.parametrize("name, value, chosen, score", [
+        ("CORE_THRESHOLD", 0.99, "compact", None),    # P0 = sigmoid(4) ~ 0.982: no core
+        ("ACCEPT_THRESHOLD", 0.99, "compact", expected_score(0.3)),
+        ("GAMMA", 0.5, "compact", expected_score(0.3, gamma=0.5)),
+        ("EPS", 1.0, "diffuse", expected_score(0.3, eps=1.0)),
+    ], ids=["CORE_THRESHOLD", "ACCEPT_THRESHOLD", "GAMMA", "EPS"])
+    def test_patched_constant_moves_the_selection(self, name, value, chosen, score, monkeypatch):
+        case = make_case([intensity_channel(delta_offset_sigma=0.3)])
+        base = select(case, logits_for(CORE), logits_for(CORE | DELTA))
+        assert base.chosen == "diffuse" and base.texture_score == pytest.approx(expected_score(0.3))
+        monkeypatch.setattr(selector, name, value)
+        result = select(case, logits_for(CORE), logits_for(CORE | DELTA))
+        assert result.chosen == chosen
+        assert result.texture_score == (None if score is None else pytest.approx(score))
 
 
 def logit_of(p):
