@@ -3,8 +3,6 @@ segmentation, with a synthetic phantom benchmark suite."""
 
 from .gatekeeper import GateVerdict, gate
 from .losses import (
-    CompactWeights,
-    DiffuseWeights,
     LossTermResult,
     anchor_term,
     edge_map,

@@ -138,11 +138,11 @@ def adam_step(state: AdamState, z: np.ndarray, grad: np.ndarray) -> tuple[AdamSt
 def refine(
     case: Case,
     hypothesis: HypothesisName,
-    weights=None,
     protocol: OptimizerProtocol = OptimizerProtocol(),
     edge_map: bool = True,
 ) -> RefinementTrace:
-    """Run the named hypothesis loss from z = z0 for ``protocol.steps`` updates.
+    """Run the named hypothesis loss, at its weight class's defaults, from
+    z = z0 for ``protocol.steps`` updates.
 
     For the diffuse hypothesis the edge map is computed once from the case
     image before iteration; ``edge_map=False`` gives g identically 1 instead,
@@ -151,12 +151,10 @@ def refine(
     """
     z0 = case.logits0.data
     if hypothesis == "compact":
-        weights = weights if weights is not None else losses.CompactWeights()
-        objective = losses.compact_objective(z0, case.spacing, weights)
+        objective = losses.compact_objective(z0, case.spacing, losses.CompactWeights())
     elif hypothesis == "diffuse":
-        weights = weights if weights is not None else losses.DiffuseWeights()
         g = losses.edge_map(case.image).data if edge_map else None
-        objective = losses.diffuse_objective(z0, g, weights)
+        objective = losses.diffuse_objective(z0, g, losses.DiffuseWeights())
         del g  # only its face weights are used from here on
     else:
         raise ValueError(f"unknown hypothesis {hypothesis!r}")

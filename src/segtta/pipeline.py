@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
-from . import losses, optim
+from . import optim
 from .gatekeeper import GateVerdict, gate
 from .selector import SelectionResult, select
 from .volume import Case, Mask, check_fields, sigmoid, threshold
@@ -45,8 +45,6 @@ MODES = tuple(MODE_TABLE)
 @dataclass(frozen=True)
 class PipelineConfig:
     mode: str = "full"
-    compact: losses.CompactWeights = field(default_factory=losses.CompactWeights)
-    diffuse: losses.DiffuseWeights = field(default_factory=losses.DiffuseWeights)
     protocol: optim.OptimizerProtocol = field(default_factory=optim.OptimizerProtocol)
     parallel_hypotheses: bool = True  # a pool thread per hypothesis per worker
 
@@ -72,12 +70,12 @@ class RunReport:
     gate: GateVerdict
     mask_source: str                      # baseline | compact | diffuse
     final_mask: Mask | None
+    config: PipelineConfig
     compact_trace: TraceSummary | None = None
     diffuse_trace: TraceSummary | None = None
     selection: SelectionResult | None = None
     timings_s: dict[str, float] = field(default_factory=dict)
     error: str | None = None
-    config: PipelineConfig | None = None
 
 
 def run_modes(
@@ -114,10 +112,8 @@ def run_modes(
     def refine(job) -> tuple[optim.RefinementTrace, float] | str:
         case, (hypothesis, edge_map) = job
         t0 = time.perf_counter()
-        weights = cfg.compact if hypothesis == "compact" else cfg.diffuse
         try:
-            trace = optim.refine(case, hypothesis, weights=weights, protocol=cfg.protocol,
-                                 edge_map=edge_map)
+            trace = optim.refine(case, hypothesis, protocol=cfg.protocol, edge_map=edge_map)
         except optim.NumericalFailure as exc:
             return f"case {case.case_id!r}, hypothesis {hypothesis}: {exc}"
         return trace, time.perf_counter() - t0

@@ -367,11 +367,10 @@ class TestReportSerialization:
     def test_report_embeds_full_config(self, report):
         payload = json.loads(fileio.dumps_report(report))
         cfg = payload["config"]
-        assert cfg["compact"]["lambda_grav"] == 50.0
         assert cfg["protocol"]["steps"] == 25
-        assert set(cfg) == {"mode", "compact", "diffuse", "protocol", "parallel_hypotheses"}
+        assert set(cfg) == {"mode", "protocol", "parallel_hypotheses"}
         assert set(cfg["protocol"]) == {"lr", "steps"}
-        assert payload["schema_version"] == 2
+        assert payload["schema_version"] == 3
 
     def test_timings_excluded_on_request(self, report):
         with_t = json.loads(fileio.dumps_report(report, include_timings=True))

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import tracemalloc
@@ -219,11 +220,12 @@ class TestRefine:
         with pytest.raises(ValueError, match="hypothesis"):
             refine(small_case(), "inflate")
 
-    def test_inflation_only_step_raises_mean_probability(self):
+    def test_inflation_only_step_raises_mean_probability(self, monkeypatch):
         z = Volume(np.zeros((4, 4, 4)), (1, 1, 1))
         case = Case(image=(z,), logits0=z)
-        weights = losses.DiffuseWeights(lambda_ent=0, lambda_geo=0, lambda_inf=5, lambda_anc=0)
-        trace = refine(case, "diffuse", weights=weights, protocol=OptimizerProtocol(steps=1))
+        monkeypatch.setattr(losses, "DiffuseWeights", functools.partial(
+            losses.DiffuseWeights, lambda_ent=0, lambda_geo=0, lambda_inf=5, lambda_anc=0))
+        trace = refine(case, "diffuse", protocol=OptimizerProtocol(steps=1))
         assert sigmoid(trace.final_z).data.mean() > 0.5
 
     def test_no_edge_map_is_an_all_ones_edge_map(self, monkeypatch):
@@ -339,11 +341,11 @@ class TestRefineOnPhantoms:
             assert trace.final_loss < trace.initial_loss
 
     @pytest.mark.parametrize("scenario", ["clean_confident", "under_segmented_matched"])
-    def test_anchor_dominance_bounds_drift(self, scenario):
+    def test_anchor_dominance_bounds_drift(self, scenario, monkeypatch):
         # noise_island halo voxels limit-cycle near 0.135 under Adam; the
         # dominance bound is asserted on fixtures without that pathology
         case, _, _ = phantom.generate(phantom.scenario_spec(scenario, seed=32))
-        heavy = losses.CompactWeights(lambda_anc=1e4)
-        trace = refine(case, "compact", weights=heavy)
+        monkeypatch.setattr(losses, "CompactWeights", functools.partial(losses.CompactWeights, lambda_anc=1e4))
+        trace = refine(case, "compact")
         drift = np.abs(trace.final_z.data - case.logits0.data).max()
         assert drift <= 0.1

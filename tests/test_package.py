@@ -9,7 +9,7 @@ import segtta
 from segtta import gatekeeper, losses, selector
 
 PUBLIC_NAMES = [
-    "AdamState", "Case", "CohortStats", "CompactWeights", "DiffuseWeights", "GateVerdict",
+    "AdamState", "Case", "CohortStats", "GateVerdict",
     "GeneratedPhantom", "LossTermResult", "MODES", "Mask", "MetricSet", "NumericalFailure",
     "OptimizerProtocol", "PhantomAnnotations", "PhantomSpec", "PipelineConfig",
     "RefinementTrace", "RunReport", "SelectionResult", "Volume", "WilcoxonResult", "adam_step", "aggregate", "anchor_term", "cohort", "dice",
@@ -33,10 +33,10 @@ SIGNATURES = {
     "gate": ["p0"],
     "select": ["case", "compact_z", "diffuse_z"],
     "edge_map": ["channels"],
-    "refine": ["case", "hypothesis", "weights", "protocol", "edge_map"],
+    "refine": ["case", "hypothesis", "protocol", "edge_map"],
     "adam_step": ["state", "z", "grad"],
     "OptimizerProtocol": ["lr", "steps"],
-    "PipelineConfig": ["mode", "compact", "diffuse", "protocol", "parallel_hypotheses"],
+    "PipelineConfig": ["mode", "protocol", "parallel_hypotheses"],
 }
 
 

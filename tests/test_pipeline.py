@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segtta import fileio, phantom
+from segtta import fileio, losses, phantom
 from segtta import gatekeeper
 from segtta.gatekeeper import gate
 from segtta.losses import CompactWeights, DiffuseWeights
@@ -300,6 +300,31 @@ class TestRunModes:
         assert reports["only_compact"][0].gate.flagged and len(held) == 1
         assert held[0] < island.case.logits0.data.nbytes // 4
 
+    def test_refinements_build_the_paper_objectives(self, island, monkeypatch):
+        # perfbench's traced run wraps both factories on the losses module,
+        # as here, and times the objectives they return: every refinement
+        # builds its objective through them, at its weight class's defaults
+        builds = []
+
+        def recording(name):
+            original = getattr(losses, name)
+
+            def factory(*args, **kwargs):
+                builds.append((name, type(args[1]), args[2]))
+                return original(*args, **kwargs)
+            return factory
+
+        for name in ("compact_objective", "diffuse_objective"):
+            monkeypatch.setattr(losses, name, recording(name))
+        reports = run_modes([island.case], ["full", "no_edge_map"],
+                            PipelineConfig(protocol=OptimizerProtocol(steps=2)))
+        assert all(r[0].gate.flagged and r[0].error is None for r in reports.values())
+        assert sorted(builds, key=repr) == sorted([
+            ("compact_objective", tuple, CompactWeights()),
+            ("diffuse_objective", np.ndarray, DiffuseWeights()),  # full: the image edge map
+            ("diffuse_objective", type(None), DiffuseWeights()),  # no_edge_map: g == 1
+        ], key=repr)
+
     def test_unknown_mode_rejected(self, clean):
         with pytest.raises(ValueError, match="mode"):
             run_modes([clean.case], ["full", "everything"], quick_cfg())
@@ -354,7 +379,7 @@ BAD_CONFIGS = [
     (CompactWeights, dict(lambda_tv="1")),
     # each pipeline field is an instance of its declared class
     (PipelineConfig, dict(protocol=None)),
-    (PipelineConfig, dict(compact=DiffuseWeights())),
+    (PipelineConfig, dict(protocol=CompactWeights())),
     (PipelineConfig, dict(parallel_hypotheses="false")),
     (PipelineConfig, dict(parallel_hypotheses=1)),
 ]
