@@ -220,6 +220,13 @@ class TestRefine:
         with pytest.raises(ValueError, match="hypothesis"):
             refine(small_case(), "inflate")
 
+    @pytest.mark.parametrize("hypothesis, weights", [("compact", losses.CompactWeights()),
+                                                     ("diffuse", losses.DiffuseWeights())])
+    def test_weights_are_not_a_refine_argument(self, hypothesis, weights):
+        # each hypothesis runs at its weight class's defaults only
+        with pytest.raises(TypeError, match="unexpected keyword argument 'weights'"):
+            refine(small_case(), hypothesis, weights=weights)
+
     def test_inflation_only_step_raises_mean_probability(self, monkeypatch):
         z = Volume(np.zeros((4, 4, 4)), (1, 1, 1))
         case = Case(image=(z,), logits0=z)

@@ -401,6 +401,14 @@ class TestConfigValidation:
     def test_boundary_values_accepted(self):
         OptimizerProtocol(steps=0)
 
+    @pytest.mark.parametrize("name, weights", [("compact", CompactWeights()), ("diffuse", DiffuseWeights())],
+                             ids=["compact", "diffuse"])
+    def test_loss_weights_are_not_a_pipeline_option(self, name, weights):
+        # the loss weights are fixed at their classes' defaults: a caller
+        # still passing them is refused, not silently run at the defaults
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            PipelineConfig(**{name: weights})
+
 
 CONFIG_CLASSES = [CompactWeights, DiffuseWeights, OptimizerProtocol, PipelineConfig, phantom.PhantomSpec]
 CONFIG_FIELDS = [(cls, name) for cls in CONFIG_CLASSES for name in get_type_hints(cls)]
