@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
-import re
 import sys
 from pathlib import Path
 
@@ -27,13 +25,6 @@ class CliInputError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # argparse takes -1 and -0.001 for negative numbers but reads -1e-3 as
-        # a flag; widen its test to exponent form, so that such a value reaches
-        # the range check of its option (no option name looks like a number)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
-
     def error(self, message):  # reject unknown flags with exit code 1, not 2
         raise CliInputError(message)
 
@@ -73,8 +64,7 @@ def _case_row(case_id, m: metrics.MetricSet, flagged, source) -> dict:
 
 def _cmd_run(args) -> int:
     case = _load_case(args.image, args.logits)
-    protocol = optim.OptimizerProtocol(lr=args.lr, steps=args.steps)
-    cfg = pipeline.PipelineConfig(mode=args.mode, protocol=protocol)
+    cfg = pipeline.PipelineConfig(mode=args.mode, protocol=optim.OptimizerProtocol(steps=args.steps))
     report = pipeline.run_case(case, cfg)
     if args.out_mask:
         fileio.write_volume(args.out_mask, report.final_mask)
@@ -93,9 +83,7 @@ def _cmd_gatekeep(args) -> int:
 
 def _cmd_select(args) -> int:
     case = _load_case(args.image, args.logits)
-    compact_z = _load_volume(args.compact)
-    diffuse_z = _load_volume(args.diffuse)
-    _emit(dataclasses.asdict(select(case, compact_z, diffuse_z)))
+    _emit(dataclasses.asdict(select(case, _load_volume(args.diffuse))))
     return 0
 
 
@@ -163,7 +151,7 @@ def _cmd_ablate(args) -> int:
     generated = phantom.cohort(specs)
     cases = [g.case for g in generated]
     gts = [g.gt for g in generated]
-    cfg = pipeline.PipelineConfig(protocol=optim.OptimizerProtocol(lr=args.lr, steps=args.steps))
+    cfg = pipeline.PipelineConfig(protocol=optim.OptimizerProtocol(steps=args.steps))
     runs = pipeline.run_modes(cases, pipeline.MODES, cfg, workers=args.threads)
     failed = next((r for reports in runs.values() for r in reports if r.error is not None), None)
     if failed is not None:  # an error report has no mask to score
@@ -205,18 +193,16 @@ def _print_full_vs_ablations(per_mode) -> None:
 
 
 def _cmd_gradcheck(args) -> int:
-    if not (math.isfinite(args.tolerance) and args.tolerance > 0.0):
-        raise CliInputError(f"tolerance must be finite and > 0, got {args.tolerance!r}")
     results = gradcheck.check_all(seed=args.seed, volumes=args.volumes, dims=tuple(args.dims))
     worst = 0.0
     for term, res in results.items():
         print(f"{term:<10} max rel err {res.max_rel_err:.3e}  "
               f"(checked {res.checked_voxels}, excluded {res.excluded_voxels})")
         worst = max(worst, res.max_rel_err)
-    if worst >= args.tolerance:
-        print(f"FAIL: worst relative error {worst:.3e} >= {args.tolerance:.1e}", file=sys.stderr)
+    if worst >= gradcheck.TOLERANCE:
+        print(f"FAIL: worst relative error {worst:.3e} >= {gradcheck.TOLERANCE:.1e}", file=sys.stderr)
         return 2
-    print(f"OK: all gradients within {args.tolerance:.1e}")
+    print(f"OK: all gradients within {gradcheck.TOLERANCE:.1e}")
     return 0
 
 
@@ -231,7 +217,6 @@ def build_parser() -> _Parser:
     p.add_argument("--report", help="write the decision-trace JSON here")
     p.add_argument("--mode", default="full", choices=pipeline.MODES)
     p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--no-timing", action="store_true", help="omit wall-times from the report")
     p.set_defaults(func=_cmd_run)
 
@@ -240,10 +225,9 @@ def build_parser() -> _Parser:
     p.add_argument("--report")
     p.set_defaults(func=_cmd_gatekeep)
 
-    p = sub.add_parser("select", help="selection between two refined logits")
+    p = sub.add_parser("select", help="accept or veto a refined diffuse result on texture")
     p.add_argument("--image", action="append", required=True)
     p.add_argument("--logits", required=True, help="baseline logits")
-    p.add_argument("--compact", required=True, help="refined compact logits volume")
     p.add_argument("--diffuse", required=True, help="refined diffuse logits volume")
     p.set_defaults(func=_cmd_select)
 
@@ -266,7 +250,6 @@ def build_parser() -> _Parser:
     p.add_argument("--mix", default=DEFAULT_MIX, help="scenario=count list")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", help="write the aggregated table here")
     p.add_argument("--csv", help="write per-case full-mode rows here")
@@ -278,7 +261,6 @@ def build_parser() -> _Parser:
     p.add_argument("--volumes", type=int, default=20)
     p.add_argument("--dims", type=int, nargs=3, default=[4, 4, 4], metavar=("NX", "NY", "NZ"),
                    help="grid of each random volume")
-    p.add_argument("--tolerance", type=float, default=gradcheck.DEFAULT_TOLERANCE)
     p.set_defaults(func=_cmd_gradcheck)
 
     return parser

@@ -32,7 +32,7 @@ if TYPE_CHECKING:
 
 MAGIC = b"HDTV"
 VERSION = 1
-REPORT_SCHEMA_VERSION = 3
+REPORT_SCHEMA_VERSION = 4
 # z-planes per read block: of 1, 8, 16, 32 and 64, 32 read a 240x240x155 f64
 # volume fastest, and 1 or 8 no faster than the whole file read at once
 BLOCK_PLANES = 32

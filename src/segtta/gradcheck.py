@@ -25,7 +25,7 @@ from .volume import along, require, sigmoid_into
 
 FD_STEP = 1e-5
 KINK_CUTOFF = 1e-4
-DEFAULT_TOLERANCE = 1e-3
+TOLERANCE = 1e-3
 SPACING = (1.0, 1.3, 0.8)  # mm, of every random volume; anisotropic for gravity's coordinates
 
 

@@ -35,7 +35,8 @@ HypothesisName = Literal["compact", "diffuse"]
 #: Spacing of the sampled loss curve, in Adam steps.
 LOSS_EVERY = 50
 
-#: Adam's moment decays beta1, beta2 and its denominator guard eps.
+#: Adam's step size lr, moment decays beta1, beta2 and denominator guard eps.
+LR = 0.1
 BETA1 = 0.9
 BETA2 = 0.999
 EPS_ADAM = 1e-8
@@ -47,11 +48,10 @@ class NumericalFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizerProtocol:
-    lr: float = 0.1
     steps: int = 1000
 
     def __post_init__(self):
-        check_fields(self, lr="> 0", steps=">= 0")
+        check_fields(self, steps=">= 0")
 
 
 @dataclass
@@ -62,11 +62,10 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int
-    protocol: OptimizerProtocol
 
     @classmethod
-    def fresh(cls, shape, protocol: OptimizerProtocol) -> "AdamState":
-        return cls(m=np.zeros(shape), v=np.zeros(shape), t=0, protocol=protocol)
+    def fresh(cls, shape) -> "AdamState":
+        return cls(m=np.zeros(shape), v=np.zeros(shape), t=0)
 
 
 @dataclass(frozen=True)
@@ -102,10 +101,11 @@ def adam_step(state: AdamState, z: np.ndarray, grad: np.ndarray) -> tuple[AdamSt
         M = beta1 M + g,  V = beta2 V + g^2,  z' = z - k_t M / (sqrt(V) + eps_t)
 
     with s_t = sqrt((1 - beta2) / (1 - beta2^t)), k_t = lr (1 - beta1) /
-    (1 - beta1^t) / s_t and eps_t = eps / s_t, where beta1, beta2 and eps
-    are :data:`BETA1`, :data:`BETA2` and :data:`EPS_ADAM`.  Since
-    m = (1 - beta1) M and sqrt(v_hat) = s_t sqrt(V), this is Adam's update in
-    exact arithmetic; the scalars take the bias correction off the full grid.
+    (1 - beta1^t) / s_t and eps_t = eps / s_t, where lr, beta1, beta2 and
+    eps are :data:`LR`, :data:`BETA1`, :data:`BETA2` and :data:`EPS_ADAM`.
+    Since m = (1 - beta1) M and sqrt(v_hat) = s_t sqrt(V), this is Adam's
+    update in exact arithmetic; the scalars take the bias correction off the
+    full grid.
 
     The update is in place: ``state`` (moments, counter) and ``z`` are
     overwritten and returned, bit-identical to the out-of-place form of the
@@ -118,7 +118,7 @@ def adam_step(state: AdamState, z: np.ndarray, grad: np.ndarray) -> tuple[AdamSt
         raise NumericalFailure(f"non-finite gradient at step {state.t + 1}")
     state.t += 1
     s = math.sqrt((1.0 - BETA2) / (1.0 - BETA2**state.t))
-    k = state.protocol.lr * (1.0 - BETA1) / (1.0 - BETA1**state.t) / s
+    k = LR * (1.0 - BETA1) / (1.0 - BETA1**state.t) / s
     planes = slab_planes(z.shape)
     for a in range(0, len(z), planes):
         sl = slice(a, a + planes)
@@ -160,7 +160,7 @@ def refine(
         raise ValueError(f"unknown hypothesis {hypothesis!r}")
 
     z = z0.copy()
-    state = AdamState.fresh(z.shape, protocol)
+    state = AdamState.fresh(z.shape)
     value, grad = objective(z)
     curve, sampled = [value], [0]
     for step in range(1, protocol.steps + 1):

@@ -167,7 +167,7 @@ def _report(case, cfg, verdict, gate_s, baseline, runs) -> RunReport:
     source, selection = next(iter(traces), "baseline"), None
     if len(traces) == 2:
         t0 = time.perf_counter()
-        selection = select(case, traces["compact"].final_z, traces["diffuse"].final_z)
+        selection = select(case, traces["diffuse"].final_z)
         timings["select_s"] = time.perf_counter() - t0
         source = selection.chosen
     summaries = {h: TraceSummary(t.initial_loss, t.final_loss, t.steps) for h, t in traces.items()}

@@ -46,14 +46,14 @@ def _channel_score(ch: Volume, core: np.ndarray, delta: np.ndarray):
     return math.exp(-0.5 * ratio * ratio), mu_core, sigma_core, mu_delta
 
 
-def select(case: Case, compact_z: Volume, diffuse_z: Volume) -> SelectionResult:
+def select(case: Case, diffuse_z: Volume) -> SelectionResult:
     """Pick the hypothesis whose mask becomes the final output.
 
-    The diffuse mask is its probabilities binarized at 0.5.  If the core or
-    the recruited region is empty there is nothing to validate and the safe
+    Only the diffuse result is scored: the compact one is the default.  The
+    diffuse mask is its probabilities binarized at 0.5.  If the core or the
+    recruited region is empty there is nothing to validate and the safe
     default wins without a score.
     """
-    require_same_grid(case.logits0, compact_z, "baseline and compact logits")
     require_same_grid(case.logits0, diffuse_z, "baseline and diffuse logits")
     core = sigmoid(case.logits0).data > CORE_THRESHOLD
     delta = sigmoid(diffuse_z).data > 0.5

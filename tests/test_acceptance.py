@@ -94,7 +94,7 @@ PAPER_VALUES = {
     "selector.EPS": 1e-6,
     "losses.EDGE_SIGMA_MM": 1.0,
     "losses.EDGE_ALPHA": 10.0,
-    "optim.OptimizerProtocol.lr": 0.1,
+    "optim.LR": 0.1,
     "optim.OptimizerProtocol.steps": 1000,
     "optim.BETA1": 0.9,
     "optim.BETA2": 0.999,

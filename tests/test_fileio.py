@@ -369,8 +369,8 @@ class TestReportSerialization:
         cfg = payload["config"]
         assert cfg["protocol"]["steps"] == 25
         assert set(cfg) == {"mode", "protocol", "parallel_hypotheses"}
-        assert set(cfg["protocol"]) == {"lr", "steps"}
-        assert payload["schema_version"] == 3
+        assert set(cfg["protocol"]) == {"steps"}
+        assert payload["schema_version"] == 4
 
     def test_timings_excluded_on_request(self, report):
         with_t = json.loads(fileio.dumps_report(report, include_timings=True))

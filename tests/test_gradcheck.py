@@ -54,7 +54,7 @@ def faces_kernel(scatter):
 
 
 def failing_terms(results):
-    return {term for term, res in results.items() if res.max_rel_err >= gradcheck.DEFAULT_TOLERANCE}
+    return {term for term, res in results.items() if res.max_rel_err >= gradcheck.TOLERANCE}
 
 
 def test_the_kernel_copy_is_faithful(monkeypatch, use_slabs):

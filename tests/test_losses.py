@@ -512,7 +512,7 @@ def test_gradcheck_across_one_plane_slabs(use_slabs):
     results = gradcheck.check_all(dims=(5, 4, 3))
     assert set(results) == set(gradcheck.AUDITS)
     for term, res in results.items():
-        assert res.max_rel_err < gradcheck.DEFAULT_TOLERANCE, term
+        assert res.max_rel_err < gradcheck.TOLERANCE, term
 
 
 class TestAxisPermutation:

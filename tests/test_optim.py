@@ -11,26 +11,26 @@ from segtta.optim import AdamState, NumericalFailure, OptimizerProtocol, adam_st
 from segtta.volume import Case, Volume, sigmoid, threshold
 
 
-def textbook_adam(m, v, t, z, grad, pr):
+def textbook_adam(m, v, t, z, grad):
     """Out-of-place textbook Adam, on normalised moments."""
-    b1, b2, eps = optim.BETA1, optim.BETA2, optim.EPS_ADAM
+    lr, b1, b2, eps = optim.LR, optim.BETA1, optim.BETA2, optim.EPS_ADAM
     t += 1
     m = b1 * m + (1.0 - b1) * grad
     v = b2 * v + (1.0 - b2) * grad * grad
     m_hat = m / (1.0 - b1**t)
     v_hat = v / (1.0 - b2**t)
-    return m, v, t, z - pr.lr * m_hat / (np.sqrt(v_hat) + eps)
+    return m, v, t, z - lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def unnormalised_adam(m, v, t, z, grad, pr):
+def unnormalised_adam(m, v, t, z, grad):
     """Out-of-place Adam on unnormalised moments, the reference the in-place
     update must match bit for bit."""
-    b1, b2, eps = optim.BETA1, optim.BETA2, optim.EPS_ADAM
+    lr, b1, b2, eps = optim.LR, optim.BETA1, optim.BETA2, optim.EPS_ADAM
     t += 1
     m = b1 * m + grad
     v = b2 * v + grad * grad
     s = math.sqrt((1.0 - b2) / (1.0 - b2**t))
-    k = pr.lr * (1.0 - b1) / (1.0 - b1**t) / s
+    k = lr * (1.0 - b1) / (1.0 - b1**t) / s
     return m, v, t, z - m / (np.sqrt(v) + eps / s) * k
 
 
@@ -50,7 +50,7 @@ def small_case(seed=0, dims=(6, 6, 6)):
 class TestAdamStep:
     def test_zero_gradient_is_fixed_point(self):
         z = np.ones((3, 3, 3))
-        state = AdamState.fresh(z.shape, OptimizerProtocol())
+        state = AdamState.fresh(z.shape)
         state2, z2 = adam_step(state, z, np.zeros_like(z))
         assert np.array_equal(z2, z)
         assert np.all(state2.m == 0.0) and np.all(state2.v == 0.0)
@@ -60,7 +60,7 @@ class TestAdamStep:
     def test_first_step_magnitude_is_lr(self, c):
         # bias correction makes step one equal lr * g / (|g| + eps)
         z = np.zeros((2, 2, 2))
-        state = AdamState.fresh(z.shape, OptimizerProtocol(lr=0.1))
+        state = AdamState.fresh(z.shape)
         _, z2 = adam_step(state, z, np.full_like(z, c))
         assert np.all(np.abs(z2 + 0.1 * c / (abs(c) + 1e-8)) < 1e-12)
 
@@ -69,14 +69,14 @@ class TestAdamStep:
         rng = np.random.default_rng(3)
         a = rng.uniform(-1.0, 1.0, size=(4, 4, 4))
         z = np.zeros_like(a)
-        state = AdamState.fresh(z.shape, OptimizerProtocol(lr=0.1))
+        state = AdamState.fresh(z.shape)
         for _ in range(100):
             state, z = adam_step(state, z, 2.0 * (z - a) / z.size)
         assert np.abs(z - a).max() < 1e-2
 
     def test_nonfinite_gradient_aborts_with_step_index(self):
         z = np.zeros((2, 2, 2))
-        state = AdamState.fresh(z.shape, OptimizerProtocol())
+        state = AdamState.fresh(z.shape)
         grad = np.zeros_like(z)
         grad[0, 0, 0] = np.nan
         with pytest.raises(NumericalFailure, match="step 1"):
@@ -88,7 +88,7 @@ class TestAdamStep:
         rng = np.random.default_rng(6)
         z = rng.normal(size=(5, 4, 3))
         assert use_slabs(z.shape, 2) == 2
-        state = AdamState.fresh(z.shape, OptimizerProtocol())
+        state = AdamState.fresh(z.shape)
         for _ in range(3):
             state, z = adam_step(state, z, rng.normal(size=z.shape))
         kept = [a.tobytes() for a in (z, state.m, state.v)]
@@ -102,13 +102,12 @@ class TestAdamStep:
     @pytest.mark.parametrize("planes", [None, 1, 2])
     def test_in_place_update_is_bit_equal_to_textbook_reference(self, use_slabs, planes):
         rng = np.random.default_rng(8)
-        pr = OptimizerProtocol()
         z = rng.normal(size=(5, 4, 3))
         use_slabs(z.shape, planes)
         m, v, t, z_ref = np.zeros_like(z), np.zeros_like(z), 0, z.copy()
-        state = AdamState.fresh(z.shape, pr)
+        state = AdamState.fresh(z.shape)
         for grad in spanning_gradients(rng, z.shape):
-            m, v, t, z_ref = unnormalised_adam(m, v, t, z_ref, grad, pr)
+            m, v, t, z_ref = unnormalised_adam(m, v, t, z_ref, grad)
             state, z = adam_step(state, z, grad)
             assert state.t == t
             assert state.m.tobytes() == m.tobytes()
@@ -120,24 +119,24 @@ class TestAdamStep:
         # the unnormalised moments are Adam in exact arithmetic; in floating
         # point the logits stay within a few ulp of textbook Adam's
         rng = np.random.default_rng(seed)
-        pr = OptimizerProtocol()
         z = rng.normal(size=(5, 4, 3))
         m, v, t, z_ref = np.zeros_like(z), np.zeros_like(z), 0, z.copy()
-        state = AdamState.fresh(z.shape, pr)
+        state = AdamState.fresh(z.shape)
         for grad in spanning_gradients(rng, z.shape):
-            m, v, t, z_ref = textbook_adam(m, v, t, z_ref, grad, pr)
+            m, v, t, z_ref = textbook_adam(m, v, t, z_ref, grad)
             state, z = adam_step(state, z, grad)
             assert np.abs(z - z_ref).max() <= 2e-15
 
-    @pytest.mark.parametrize("name, value", [("BETA1", 0.5), ("BETA2", 0.9), ("EPS_ADAM", 1.0)])
+    @pytest.mark.parametrize("name, value", [("LR", 0.05), ("BETA1", 0.5), ("BETA2", 0.9),
+                                             ("EPS_ADAM", 1.0)])
     def test_each_constant_is_read_at_call_time(self, name, value, monkeypatch):
         # the betas move the update only from step 2 on, so three steps run;
         # the in-place form keeps matching the reference under the patch
-        shape, pr = (4, 3, 3), OptimizerProtocol()
+        shape = (4, 3, 3)
         grads = spanning_gradients(np.random.default_rng(5), shape, steps=3)
 
         def in_place():
-            state, z = AdamState.fresh(shape, pr), np.zeros(shape)
+            state, z = AdamState.fresh(shape), np.zeros(shape)
             for g in grads:
                 state, z = adam_step(state, z, g.copy())
             return z
@@ -146,7 +145,7 @@ class TestAdamStep:
             m = v = z = np.zeros(shape)
             t = 0
             for g in grads:
-                m, v, t, z = unnormalised_adam(m, v, t, z, g, pr)
+                m, v, t, z = unnormalised_adam(m, v, t, z, g)
             return z
 
         base = in_place()
@@ -158,7 +157,7 @@ class TestAdamStep:
     def test_second_moment_nonnegative(self):
         rng = np.random.default_rng(5)
         z = rng.normal(size=(3, 3, 3))
-        state = AdamState.fresh(z.shape, OptimizerProtocol())
+        state = AdamState.fresh(z.shape)
         for _ in range(10):
             state, z = adam_step(state, z, rng.normal(size=z.shape))
         assert np.all(state.v >= 0.0)
@@ -228,12 +227,18 @@ class TestRefine:
             refine(small_case(), hypothesis, weights=weights)
 
     def test_inflation_only_step_raises_mean_probability(self, monkeypatch):
-        z = Volume(np.zeros((4, 4, 4)), (1, 1, 1))
+        # from z = z0 = -3 the entropy pull outweighs inflation, so one step
+        # at the default weights lowers the mean probability and only the
+        # inflation-only weights raise it
+        z = Volume(np.full((4, 4, 4), -3.0), (1, 1, 1))
         case = Case(image=(z,), logits0=z)
+        p0, one_step = sigmoid(z).data.mean(), OptimizerProtocol(steps=1)
+        default = refine(case, "diffuse", protocol=one_step)
+        assert sigmoid(default.final_z).data.mean() < p0
         monkeypatch.setattr(losses, "DiffuseWeights", functools.partial(
             losses.DiffuseWeights, lambda_ent=0, lambda_geo=0, lambda_inf=5, lambda_anc=0))
-        trace = refine(case, "diffuse", protocol=OptimizerProtocol(steps=1))
-        assert sigmoid(trace.final_z).data.mean() > 0.5
+        trace = refine(case, "diffuse", protocol=one_step)
+        assert sigmoid(trace.final_z).data.mean() > p0
 
     def test_no_edge_map_is_an_all_ones_edge_map(self, monkeypatch):
         case = small_case(seed=2)
@@ -298,7 +303,7 @@ def test_a_refinement_holds_two_slab_buffers_and_a_step_allocates_no_grid(use_sl
             objective = losses.compact_objective(z0, (1.0, 1.3, 0.8), losses.CompactWeights())
         else:
             objective = losses.diffuse_objective(z0, g, losses.DiffuseWeights())
-        state = AdamState.fresh(dims, OptimizerProtocol())
+        state = AdamState.fresh(dims)
         held = tracemalloc.get_traced_memory()[0]
         expected = (7 if hypothesis == "diffuse" else 4) * grid + 2 * slab
         assert expected <= held < expected + slab // 2

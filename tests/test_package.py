@@ -31,11 +31,11 @@ def test_public_names_are_pinned():
 # config argument; a dropped parameter or field shows here first.
 SIGNATURES = {
     "gate": ["p0"],
-    "select": ["case", "compact_z", "diffuse_z"],
+    "select": ["case", "diffuse_z"],
     "edge_map": ["channels"],
     "refine": ["case", "hypothesis", "protocol", "edge_map"],
     "adam_step": ["state", "z", "grad"],
-    "OptimizerProtocol": ["lr", "steps"],
+    "OptimizerProtocol": ["steps"],
     "PipelineConfig": ["mode", "protocol", "parallel_hypotheses"],
 }
 

@@ -62,7 +62,7 @@ class TestChannelScore:
 
 def texture_score(channels):
     """The score select reports for the fixture's core and delta regions."""
-    result = select(make_case(channels), logits_for(CORE), logits_for(CORE | DELTA))
+    result = select(make_case(channels), logits_for(CORE | DELTA))
     assert (result.core_voxels, result.delta_voxels) == (CORE.sum(), DELTA.sum())
     return result.texture_score
 
@@ -91,30 +91,28 @@ class TestTextureScore:
 class TestSelect:
     def test_empty_delta_reverts_to_compact(self):
         case = make_case([intensity_channel()])
-        compact_z = logits_for(CORE)
-        diffuse_z = logits_for(CORE)  # grew nothing
-        result = select(case, compact_z, diffuse_z)
+        result = select(case, logits_for(CORE))  # diffuse grew nothing
         assert result.chosen == "compact"
         assert result.texture_score is None
         assert (result.core_voxels, result.delta_voxels) == (CORE.sum(), 0)
 
     def test_matched_expansion_selects_diffuse(self):
         case = make_case([intensity_channel(delta_offset_sigma=0.0)])
-        result = select(case, logits_for(CORE), logits_for(CORE | DELTA))
+        result = select(case, logits_for(CORE | DELTA))
         assert result.chosen == "diffuse"
         assert result.texture_score > 0.95
         assert result.delta_voxels == int(DELTA.sum())
 
     def test_mismatched_expansion_reverts_to_compact(self):
         case = make_case([intensity_channel(delta_offset_sigma=5.0)])
-        result = select(case, logits_for(CORE), logits_for(CORE | DELTA))
+        result = select(case, logits_for(CORE | DELTA))
         assert result.chosen == "compact"
         assert result.texture_score == pytest.approx(3.9e-3, abs=2e-4)
 
     def test_empty_core_reverts_to_compact(self):
         z0 = Volume(np.where(CORE, logit_of(0.79), logit_of(0.1)), SPACING)
         case = Case(image=(intensity_channel(),), logits0=z0)
-        result = select(case, logits_for(CORE), logits_for(CORE | DELTA))
+        result = select(case, logits_for(CORE | DELTA))
         assert result.chosen == "compact"
         assert result.core_voxels == 0
         assert result.texture_score is None
@@ -124,7 +122,7 @@ class TestSelect:
         # voxel of the diffuse mask counts as recruited
         monkeypatch.setattr(selector, "CORE_THRESHOLD", 0.5)
         case = Case(image=(intensity_channel(),), logits0=Volume(np.zeros(DIMS), SPACING))
-        result = select(case, logits_for(CORE), logits_for(CORE | DELTA))
+        result = select(case, logits_for(CORE | DELTA))
         assert (result.core_voxels, result.delta_voxels) == (0, (CORE | DELTA).sum())
         assert result.chosen == "compact" and result.texture_score is None
 
@@ -133,7 +131,7 @@ class TestSelect:
         arr = np.array(ch.data)
         arr[DELTA] += 0.5  # constant core, different delta mean
         case = make_case([Volume(arr, SPACING)])
-        result = select(case, logits_for(CORE), logits_for(CORE | DELTA))
+        result = select(case, logits_for(CORE | DELTA))
         assert result.chosen == "compact"
         assert result.texture_score < 1e-6
 
@@ -141,20 +139,20 @@ class TestSelect:
         for offset in (0.0, 5.0):
             base = intensity_channel(delta_offset_sigma=offset)
             scaled = Volume(3.7 * base.data + 11.0, SPACING)
-            r1 = select(make_case([base]), logits_for(CORE), logits_for(CORE | DELTA))
-            r2 = select(make_case([scaled]), logits_for(CORE), logits_for(CORE | DELTA))
+            r1 = select(make_case([base]), logits_for(CORE | DELTA))
+            r2 = select(make_case([scaled]), logits_for(CORE | DELTA))
             assert r1.chosen == r2.chosen
 
     def test_determinism(self):
         case = make_case([intensity_channel(delta_offset_sigma=1.0)])
-        r1 = select(case, logits_for(CORE), logits_for(CORE | DELTA))
-        r2 = select(case, logits_for(CORE), logits_for(CORE | DELTA))
+        r1 = select(case, logits_for(CORE | DELTA))
+        r2 = select(case, logits_for(CORE | DELTA))
         assert r1 == r2
 
     def test_acceptance_threshold_is_strict(self, monkeypatch):
         monkeypatch.setattr(selector, "ACCEPT_THRESHOLD", 1.0)  # score can never exceed 1
         case = make_case([intensity_channel(delta_offset_sigma=0.0)])
-        result = select(case, logits_for(CORE), logits_for(CORE | DELTA))
+        result = select(case, logits_for(CORE | DELTA))
         assert result.chosen == "compact"
 
 
@@ -169,10 +167,10 @@ class TestConstantsReadAtCallTime:
     ], ids=["CORE_THRESHOLD", "ACCEPT_THRESHOLD", "GAMMA", "EPS"])
     def test_patched_constant_moves_the_selection(self, name, value, chosen, score, monkeypatch):
         case = make_case([intensity_channel(delta_offset_sigma=0.3)])
-        base = select(case, logits_for(CORE), logits_for(CORE | DELTA))
+        base = select(case, logits_for(CORE | DELTA))
         assert base.chosen == "diffuse" and base.texture_score == pytest.approx(expected_score(0.3))
         monkeypatch.setattr(selector, name, value)
-        result = select(case, logits_for(CORE), logits_for(CORE | DELTA))
+        result = select(case, logits_for(CORE | DELTA))
         assert result.chosen == chosen
         assert result.texture_score == (None if score is None else pytest.approx(score))
 
