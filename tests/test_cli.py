@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import segtta
-from segtta import fileio, optim, phantom, pipeline
+from segtta import fileio, gradcheck, optim, phantom, pipeline
 from segtta.cli import main
 from segtta.volume import Mask
 
@@ -385,6 +385,34 @@ class TestOtherCommands:
         captured = capsys.readouterr()
         assert captured.err == f"error: unrecognized arguments: {' '.join(argv[-2:])}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--image", "i.vol", "--logits", "z.vol", "--steps"],
+        ["phantom", "--out", "case", "--seed"],
+        ["ablate", "--seed"],
+        ["ablate", "--steps"],
+        ["ablate", "--threads"],
+        ["gradcheck", "--seed"],
+        ["gradcheck", "--volumes"],
+    ], ids=["run-steps", "phantom-seed", "ablate-seed", "ablate-steps", "ablate-threads",
+            "gradcheck-seed", "gradcheck-volumes"])
+    def test_exponent_form_negative_to_an_int_option_exits_1(self, capsys, argv):
+        # no option takes a float, so argparse reads "-1e3" as a flag: the
+        # integer option is left without a value and the run stops at exit 1
+        assert main([*argv, "-1e3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: argument {argv[-1]}: expected one argument\n"
+        assert captured.out == ""
+
+    def test_gradcheck_pass_line_is_the_tolerance_constant(self, capsys, monkeypatch):
+        # the constant is read at call time: at zero every term fails the
+        # audit, exit 2, and the FAIL line prints the value in force
+        monkeypatch.setattr(gradcheck, "TOLERANCE", 0.0)
+        assert main(["gradcheck", "--volumes", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("FAIL: worst relative error ")
+        assert captured.err.endswith(" >= 0.0e+00\n")
+        assert "OK" not in captured.out
 
     def test_unknown_command_exits_1(self):
         assert main(["explode"]) == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import math
@@ -154,6 +155,13 @@ class TestAdamStep:
         assert got.tobytes() == reference().tobytes()
         assert not np.array_equal(got, base)
 
+    def test_fresh_state_holds_only_the_moments_and_the_count(self):
+        # the step size is optim.LR, so a state carries no protocol and
+        # fresh takes a shape alone
+        assert [f.name for f in dataclasses.fields(AdamState)] == ["m", "v", "t"]
+        with pytest.raises(TypeError):
+            AdamState.fresh((2, 2, 2), OptimizerProtocol())
+
     def test_second_moment_nonnegative(self):
         rng = np.random.default_rng(5)
         z = rng.normal(size=(3, 3, 3))
@@ -214,6 +222,18 @@ class TestRefine:
         t2 = refine(case, "compact", protocol=proto)
         assert t1.loss_values == t2.loss_values
         assert np.array_equal(t1.final_z.data, t2.final_z.data)
+
+    def test_refine_steps_at_the_lr_constant(self, monkeypatch):
+        # refine reaches optim.LR through adam_step: at zero the logits do
+        # not move, and a smaller step gives a different result
+        case, proto = small_case(seed=3), OptimizerProtocol(steps=5)
+        base = refine(case, "diffuse", protocol=proto).final_z.data
+        monkeypatch.setattr(optim, "LR", 0.0)
+        assert refine(case, "diffuse", protocol=proto).final_z.data.tobytes() == case.logits0.data.tobytes()
+        monkeypatch.setattr(optim, "LR", 0.05)
+        half = refine(case, "diffuse", protocol=proto).final_z.data
+        assert not np.array_equal(half, base)
+        assert np.abs(half - case.logits0.data).max() < np.abs(base - case.logits0.data).max()
 
     def test_unknown_hypothesis(self):
         with pytest.raises(ValueError, match="hypothesis"):

@@ -410,6 +410,12 @@ class TestConfigValidation:
         with pytest.raises(TypeError, match="unexpected keyword argument 'lr'"):
             OptimizerProtocol(lr=0.1)
 
+    def test_lr_is_not_a_pipeline_option(self):
+        # nor does the pipeline config take it beside mode, protocol and
+        # parallel_hypotheses
+        with pytest.raises(TypeError, match="unexpected keyword argument 'lr'"):
+            PipelineConfig(lr=0.1)
+
 
 CONFIG_CLASSES = [CompactWeights, DiffuseWeights, OptimizerProtocol, PipelineConfig, phantom.PhantomSpec]
 CONFIG_FIELDS = [(cls, name) for cls in CONFIG_CLASSES for name in get_type_hints(cls)]

@@ -117,6 +117,13 @@ class TestSelect:
         assert result.core_voxels == 0
         assert result.texture_score is None
 
+    def test_compact_logits_are_not_an_argument(self):
+        # the compact result is the default and is never scored, so the old
+        # three-argument call is refused rather than read as (case, diffuse)
+        case = make_case([intensity_channel()])
+        with pytest.raises(TypeError):
+            select(case, logits_for(CORE), logits_for(CORE | DELTA))
+
     def test_core_threshold_is_strict(self, monkeypatch):
         # logits 0 give P0 = 0.5 exactly: no core at threshold 0.5, so every
         # voxel of the diffuse mask counts as recruited
