@@ -2,8 +2,10 @@
 
 Each ablation row is one entry of :data:`MODE_TABLE`, and :func:`run_modes`
 is the one path for all of them: it gates each case once, refines each
-distinct hypothesis once on one thread pool, and builds every mode's report
-from those results.  A gated mode returns the baseline binarization untouched
+distinct input once on one thread pool, and builds every mode's report from
+those results.  Refinements are keyed by what :func:`optim.refine` reads, so
+cases with equal baseline logits share their compact refinement and their
+g == 1 diffuse one.  A gated mode returns the baseline binarization untouched
 for an unflagged case; otherwise the mode's hypotheses are refined, and the
 texture selector picks between them when both ran.  ``no_gatekeeper`` still
 records the gate verdict, and ``no_edge_map`` gives the diffuse loss g
@@ -12,6 +14,7 @@ identically 1.  :func:`run_case` and :func:`run_cohort` are its one-mode views.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -86,12 +89,17 @@ def run_modes(
 ) -> dict[str, list[RunReport]]:
     """Every case under every mode in ``modes`` (``cfg.mode`` is ignored),
     with each report in case order.  Each case is gated once, and each
-    distinct refinement (case, hypothesis, whether diffuse sees the edge map)
-    runs once, on one pool of ``workers`` threads, times the most hypotheses
-    a mode refines when ``cfg.parallel_hypotheses`` is set, and at most one
-    thread per usable CPU.  Any thread count gives identical reports, timings
-    aside.  A refinement that fails numerically gives its case an error
-    report in every mode that needed it, and the run continues; any other
+    distinct refinement runs once, on one pool of ``workers`` threads, times
+    the most hypotheses a mode refines when ``cfg.parallel_hypotheses`` is
+    set, and at most one thread per usable CPU.  A refinement is keyed by
+    what it reads: the hypothesis, whether diffuse sees the edge map, and
+    z0's dims, spacing and sha256; diffuse with the edge map reads the image
+    too, so it is keyed by its case and never shared.  Cases with equal
+    baseline logits thus share a compact refinement and a g == 1 diffuse
+    one, and each gets the report it would get alone.  Any thread count
+    gives identical reports, timings aside.  A refinement that fails
+    numerically gives every case that uses it an error report, naming that
+    case, in every mode that needed it, and the run continues; any other
     exception propagates."""
     if len(cases) < 1:
         raise ValueError("cohort needs at least one case")
@@ -99,23 +107,34 @@ def run_modes(
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     cfgs = {mode: replace(cfg, mode=mode) for mode in modes}
 
-    def keys(mode: str, verdict: GateVerdict) -> list[tuple[str, bool]]:
+    def needs(mode: str, verdict: GateVerdict) -> list[tuple[str, bool]]:
         row = MODE_TABLE[mode]
         if row.gated and not verdict.flagged:
             return []
         return [(h, h == "compact" or row.edge_map) for h in row.hypotheses]
 
     gates = [_gate(case) for case in cases]
-    plan = [list(dict.fromkeys(k for mode in cfgs for k in keys(mode, verdict)))
-            for verdict, _, _ in gates]
+    # each need of a case maps to the key of what optim.refine reads for it:
+    # z0's grid and bytes, or, for diffuse with the edge map, which also
+    # reads the image, the case's index; equal keys are refined once
+    plan, jobs = [], {}  # per case {need: key}; key -> its first case
+    for i, (case, (verdict, _, _)) in enumerate(zip(cases, gates)):
+        wanted = dict.fromkeys(k for mode in cfgs for k in needs(mode, verdict))
+        if any(need != ("diffuse", True) for need in wanted):
+            z0 = case.logits0.dims, case.spacing, hashlib.sha256(case.logits0.data).digest()
+        keys = {need: need + (i if need == ("diffuse", True) else z0,) for need in wanted}
+        for key in keys.values():
+            jobs.setdefault(key, case)
+        plan.append(keys)
+    last_use = {key: i for i, keys in enumerate(plan) for key in keys.values()}
 
     def refine(job) -> tuple[optim.RefinementTrace, float] | str:
-        case, (hypothesis, edge_map) = job
+        (hypothesis, edge_map, _), case = job
         t0 = time.perf_counter()
         try:
             trace = optim.refine(case, hypothesis, protocol=cfg.protocol, edge_map=edge_map)
         except optim.NumericalFailure as exc:
-            return f"case {case.case_id!r}, hypothesis {hypothesis}: {exc}"
+            return str(exc)
         return trace, time.perf_counter() - t0
 
     reports: dict[str, list[RunReport]] = {mode: [] for mode in cfgs}
@@ -123,17 +142,23 @@ def run_modes(
     # modes a second one only oversubscribes the cores), and no more threads
     # than usable CPUs: more only switch contexts.  Refinements share only
     # immutable inputs, so any thread count gives identical traces; results
-    # come back case-major, and each case's traces are dropped once its
-    # reports are built
+    # come back in the order of their keys' first use, and each is dropped
+    # once the last case that uses it is reported
     per_worker = max((len(MODE_TABLE[m].hypotheses) for m in cfgs), default=1)
     threads = min(workers * (per_worker if cfg.parallel_hypotheses else 1), _usable_cpus())
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = pool.map(refine, [(case, k) for case, ks in zip(cases, plan) for k in ks])
-        for case, (verdict, gate_s, baseline), ks in zip(cases, gates, plan):
-            done = {k: next(results) for k in ks}
+        results = pool.map(refine, jobs.items())
+        done = {}
+        for i, (case, (verdict, gate_s, baseline), keys) in enumerate(zip(cases, gates, plan)):
+            for key in keys.values():
+                if key not in done:
+                    done[key] = next(results)
             for mode, c in cfgs.items():
-                runs = {h: done[h, e] for h, e in keys(mode, verdict)}
+                runs = {h: done[keys[h, e]] for h, e in needs(mode, verdict)}
                 reports[mode].append(_report(case, c, verdict, gate_s, baseline, runs))
+            for key in keys.values():
+                if last_use[key] == i:
+                    del done[key]
     return reports
 
 
@@ -157,11 +182,13 @@ def _usable_cpus() -> int:
 
 def _report(case, cfg, verdict, gate_s, baseline, runs) -> RunReport:
     """One mode's report from the case's shared gate verdict and refinements,
-    selecting only when both hypotheses ran."""
-    failure = next((r for r in runs.values() if isinstance(r, str)), None)
+    selecting only when both hypotheses ran.  A failed refinement is its bare
+    failure text, which the error names with this case's id."""
+    failure = next(((h, r) for h, r in runs.items() if isinstance(r, str)), None)
     if failure is not None:
+        error = f"case {case.case_id!r}, hypothesis {failure[0]}: {failure[1]}"
         return RunReport(case_id=case.case_id, mode=cfg.mode, gate=verdict, mask_source="baseline",
-                         final_mask=None, error=failure, config=cfg)
+                         final_mask=None, error=error, config=cfg)
     timings = {"gate_s": gate_s} | {f"{h}_s": seconds for h, (_, seconds) in runs.items()}
     traces = {h: trace for h, (trace, _) in runs.items()}
     source, selection = next(iter(traces), "baseline"), None

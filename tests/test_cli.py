@@ -275,9 +275,17 @@ class TestOtherCommands:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and named in captured.err and captured.out == ""
 
-    def test_ablate_gates_and_refines_each_case_once(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("mix, expected", [
         # the flagged case needs compact, diffuse and diffuse with g == 1 over
         # the five modes; the clean one compact and diffuse (no_gatekeeper)
+        ("clean_confident=1,under_segmented_matched=1", {"refine": 5, "gate": 2}),
+        # equal baseline logits share compact and g == 1 diffuse: the clean
+        # twins one compact, the matched and mismatched cases one compact and
+        # one g == 1 diffuse; each case still runs its own edge-map diffuse
+        ("clean_confident=2,under_segmented_matched=1,under_segmented_mismatched=1",
+         {"refine": 7, "gate": 4}),
+    ], ids=["distinct", "repeated-scenarios"])
+    def test_ablate_gates_and_refines_each_case_once(self, capsys, monkeypatch, mix, expected):
         calls = {"refine": 0, "gate": 0}
 
         def counting(name, fn):
@@ -288,9 +296,8 @@ class TestOtherCommands:
 
         monkeypatch.setattr(optim, "refine", counting("refine", optim.refine))
         monkeypatch.setattr(pipeline, "gate", counting("gate", pipeline.gate))
-        assert main(["ablate", "--mix", "clean_confident=1,under_segmented_matched=1",
-                     "--steps", "5"]) == 0
-        assert calls == {"refine": 5, "gate": 2}
+        assert main(["ablate", "--mix", mix, "--steps", "5"]) == 0
+        assert calls == expected
 
     def test_ablate_numerical_failure_exits_2(self, capsys, monkeypatch):
         original = optim.refine

@@ -29,6 +29,12 @@ def clean():
 
 
 @pytest.fixture(scope="module")
+def clean_twin():
+    """A clean case of another seed: other image noise, the same z0 bytes."""
+    return phantom.generate(phantom.scenario_spec("clean_confident", seed=2)).case
+
+
+@pytest.fixture(scope="module")
 def island():
     return phantom.generate(phantom.scenario_spec("noise_island", seed=1))
 
@@ -324,6 +330,115 @@ class TestRunModes:
             ("diffuse_objective", np.ndarray, DiffuseWeights()),  # full: the image edge map
             ("diffuse_objective", type(None), DiffuseWeights()),  # no_edge_map: g == 1
         ], key=repr)
+
+    def test_equal_logits_share_compact_and_each_case_reports_as_alone(self, clean, clean_twin,
+                                                                       monkeypatch):
+        # phantom logits do not depend on the seed: two clean cases share z0,
+        # hence the compact refinement, but not the image-reading diffuse one
+        import segtta.pipeline as pl
+
+        cases = [clean.case, clean_twin]
+        assert cases[0].logits0.data.tobytes() == cases[1].logits0.data.tobytes()
+        cfg = quick_cfg("no_gatekeeper")
+        alone = [run_cohort([case], cfg)[0] for case in cases]
+        calls = []
+        original = pl.optim.refine
+
+        def counting(case, hypothesis, **kwargs):
+            calls.append((case.case_id, hypothesis))
+            return original(case, hypothesis, **kwargs)
+
+        monkeypatch.setattr(pl.optim, "refine", counting)
+        together = run_cohort(cases, cfg, workers=2)
+        assert sorted(calls) == sorted([(cases[0].case_id, "compact"),
+                                        (cases[0].case_id, "diffuse"),
+                                        (cases[1].case_id, "diffuse")])
+        for a, b in zip(together, alone):
+            assert (fileio.dumps_report(a, include_timings=False)
+                    == fileio.dumps_report(b, include_timings=False))
+            assert a.final_mask.data.tobytes() == b.final_mask.data.tobytes()
+
+    def test_equal_bytes_on_another_grid_are_not_shared(self, monkeypatch):
+        import segtta.pipeline as pl
+
+        rng = np.random.default_rng(5)
+        z, image = rng.normal(scale=3.0, size=(4, 5, 6)), rng.normal(size=(4, 5, 6))
+
+        def case(case_id, dims, spacing):
+            return Case(image=(Volume(image.reshape(dims), spacing),),
+                        logits0=Volume(z.reshape(dims), spacing), case_id=case_id)
+
+        cases = [case("a", (4, 5, 6), (1.0, 1.0, 1.0)),
+                 case("spacing", (4, 5, 6), (1.0, 1.0, 2.0)),
+                 case("shape", (5, 4, 6), (1.0, 1.0, 1.0)),
+                 case("twin", (4, 5, 6), (1.0, 1.0, 1.0))]
+        calls = []
+        original = pl.optim.refine
+
+        def counting(case, hypothesis, **kwargs):
+            calls.append((case.case_id, hypothesis, kwargs["edge_map"]))
+            return original(case, hypothesis, **kwargs)
+
+        monkeypatch.setattr(pl.optim, "refine", counting)
+        reports = run_modes(cases, ["no_gatekeeper", "no_edge_map"],
+                            PipelineConfig(protocol=OptimizerProtocol(steps=2)))
+        for h, e in [("compact", True), ("diffuse", False)]:
+            assert [c for c, *job in calls if tuple(job) == (h, e)] == ["a", "spacing", "shape"]
+        assert [c for c, *job in calls if job == ["diffuse", True]] == [c.case_id for c in cases]
+        twin, first = reports["no_gatekeeper"][3], reports["no_gatekeeper"][0]
+        assert twin.case_id == "twin" and twin.compact_trace == first.compact_trace
+
+    def test_shared_failure_names_each_case(self, clean, clean_twin, monkeypatch):
+        import segtta.pipeline as pl
+
+        original = pl.optim.refine
+        compact_calls = []
+
+        def failing(case, hypothesis, **kwargs):
+            if hypothesis == "compact":
+                compact_calls.append(case.case_id)
+                raise pl.optim.NumericalFailure("non-finite gradient at step 4")
+            return original(case, hypothesis, **kwargs)
+
+        monkeypatch.setattr(pl.optim, "refine", failing)
+        cases = [clean.case, clean_twin, clean.case]
+        reports = run_cohort(cases, quick_cfg("no_gatekeeper"), workers=2)
+        assert len(compact_calls) == 1
+        for case, report in zip(cases, reports):
+            assert report.error == (f"case {case.case_id!r}, hypothesis compact: "
+                                    "non-finite gradient at step 4")
+            assert report.final_mask is None
+
+    def test_a_shared_result_is_dropped_after_its_last_case(self, clean, clean_twin, island,
+                                                            monkeypatch):
+        # the clean cases' compact trace is released before the case after
+        # them is reported, so sharing holds no result longer than it is used
+        import gc
+        import weakref
+
+        import segtta.pipeline as pl
+
+        traces = {}
+        original_refine, original_report = pl.optim.refine, pl._report
+
+        def recording(case, hypothesis, **kwargs):
+            trace = original_refine(case, hypothesis, **kwargs)
+            traces[case.case_id, hypothesis] = weakref.ref(trace)
+            return trace
+
+        alive = []
+
+        def reporting(case, *args):
+            gc.collect()
+            alive.append((case.case_id, traces[clean.case.case_id, "compact"]() is not None))
+            return original_report(case, *args)
+
+        monkeypatch.setattr(pl.optim, "refine", recording)
+        monkeypatch.setattr(pl, "_report", reporting)
+        run_modes([clean.case, clean_twin, island.case], ["no_gatekeeper"],
+                  PipelineConfig(protocol=OptimizerProtocol(steps=2)))
+        assert alive == [(clean.case.case_id, True), (clean_twin.case_id, True),
+                         (island.case.case_id, False)]
 
     def test_unknown_mode_rejected(self, clean):
         with pytest.raises(ValueError, match="mode"):
